@@ -720,11 +720,10 @@ func serveEnv(b *testing.B) (*unroll.Predictor, *unroll.CompiledPredictor, [][]f
 	return servePred, serveComp, serveQueries
 }
 
-// BenchmarkPredictSingle prices one serve-time feature-vector prediction:
-// the interpreted classifier against its compiled lowering's exact
-// (bit-identical, zero-allocation) path.
+// BenchmarkPredictSingle prices one serve-time feature-vector prediction
+// on the trained classifier, the path single queries take.
 func BenchmarkPredictSingle(b *testing.B) {
-	pred, comp, queries := serveEnv(b)
+	pred, _, queries := serveEnv(b)
 	q := queries[0]
 	b.Run("interpreted", func(b *testing.B) {
 		b.ReportAllocs()
@@ -732,12 +731,6 @@ func BenchmarkPredictSingle(b *testing.B) {
 			if _, err := pred.PredictFeatures(q); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			comp.Predict(q)
 		}
 	})
 }

@@ -280,18 +280,12 @@ collect:
 				nnc.Predict(q)
 			}
 		}},
-		{"PredictSingleInterpreted", func(b *testing.B) {
+		{"PredictSingle", func(b *testing.B) {
 			q := queries[0]
 			for i := 0; i < b.N; i++ {
 				if _, err := pred.PredictFeatures(q); err != nil {
 					b.Fatal(err)
 				}
-			}
-		}},
-		{"PredictSingle", func(b *testing.B) {
-			q := queries[0]
-			for i := 0; i < b.N; i++ {
-				comp.Predict(q)
 			}
 		}},
 		{"PredictBatchInterpreted", func(b *testing.B) {

@@ -173,15 +173,11 @@ func cmdSweep(args []string) error {
 
 func cmdPredict(args []string) error {
 	fs := flag.NewFlagSet("predict", flag.ExitOnError)
-	data := fs.String("data", "", "deprecated: retrain from this dataset per invocation (use 'metaopt train' + -model)")
 	model := fs.String("model", "", "predictor artifact from 'metaopt train'")
 	remote := fs.String("remote", "", "query a running unrolld fleet at these comma-separated base URLs")
 	pin := fs.String("pin", "", "with -remote: pin a served model version by alias or fingerprint")
 	tenant := fs.String("tenant", "", "with -remote: tenant label for per-tenant accounting")
-	save := fs.String("save", "", "save the trained predictor to this path")
-	alg := fs.String("alg", "svm", "algorithm when retraining: nn, svm, svm-ecoc, smo, regress, tree, boosted-tree")
-	mach := fs.String("mach", "itanium2", "machine model: itanium2, embedded2, wide8")
-	seed := fs.Int64("seed", 1, "seed for corpus generation and training")
+	mach := fs.String("mach", "itanium2", "with -remote: machine model the served model targets: itanium2, embedded2, wide8")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -189,36 +185,20 @@ func cmdPredict(args []string) error {
 		return fmt.Errorf("predict: want one input file")
 	}
 	if *remote != "" {
-		if *model != "" || *data != "" {
-			return fmt.Errorf("predict: -remote is exclusive of -model and -data")
+		if *model != "" {
+			return fmt.Errorf("predict: -remote is exclusive of -model")
 		}
 		return predictRemote(*remote, *mach, *pin, *tenant, fs.Arg(0))
 	}
 	if *pin != "" || *tenant != "" {
 		return fmt.Errorf("predict: -pin and -tenant need -remote")
 	}
-	m, err := machByName(*mach)
+	if *model == "" {
+		return fmt.Errorf("predict: need -model (train one with 'metaopt train -o model.json') or -remote")
+	}
+	p, err := unroll.LoadPredictorFile(*model)
 	if err != nil {
 		return err
-	}
-
-	p, err := obtainPredictor(*model, *data, unroll.Algorithm(*alg), m, *seed)
-	if err != nil {
-		return err
-	}
-	if *save != "" {
-		f, err := os.Create(*save)
-		if err != nil {
-			return err
-		}
-		if err := p.Save(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "saved predictor to %s\n", *save)
 	}
 	loops, err := loadLoops(fs.Arg(0))
 	if err != nil {

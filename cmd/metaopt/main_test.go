@@ -134,6 +134,10 @@ func TestTrainPredictModelRoundTrip(t *testing.T) {
 	if err := cmdPredict([]string{"-model", model, loopFile}); err != nil {
 		t.Fatalf("predict -model: %v", err)
 	}
+	// predict never trains: with neither -model nor -remote it refuses.
+	if err := cmdPredict([]string{loopFile}); err == nil || !strings.Contains(err.Error(), "-model") {
+		t.Errorf("predict without a model: %v", err)
+	}
 
 	// An artifact claiming a future format version is rejected with an
 	// actionable error, not silently misread.

@@ -114,11 +114,6 @@ func run(addr, model, debugAddr string, drainTimeout time.Duration, cfg serve.Co
 	}
 	log.Printf("unrolld: serving %s model (format v%d, fingerprint %.12s…) on %s",
 		pred.Algorithm(), pred.Version(), pred.Fingerprint(), bound)
-	if cfp := srv.CompiledFingerprint(); cfp != "" {
-		log.Printf("unrolld: compiled serve-time predictor active (%s)", cfp)
-	} else {
-		log.Printf("unrolld: no compiled lowering; serving interpreted model")
-	}
 	if debugAddr != "" {
 		dbg, err := obs.ServeDebug(debugAddr)
 		if err != nil {

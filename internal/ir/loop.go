@@ -215,12 +215,17 @@ func (l *Loop) Clone() *Loop {
 	return c
 }
 
-// String renders the loop for debugging.
+// String renders the loop. serve keys its prediction cache on the
+// rendering, so every header property the feature extractor reads, such
+// as noalias, must appear in it.
 func (l *Loop) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "loop %s (%s, nest %d, trip %d", l.Name, l.Lang, l.NestLevel, l.TripCount)
 	if l.EarlyExit {
 		sb.WriteString(", early-exit")
+	}
+	if l.NoAlias {
+		sb.WriteString(", noalias")
 	}
 	sb.WriteString(") {\n")
 	for _, p := range l.Params {

@@ -1,10 +1,10 @@
 package linalg
 
-// Float32 batch kernels for compiled serve-time inference. The single-query
-// compiled path reuses the float64 SqDist/Dot routines bit-for-bit; these
-// float32 variants exist only for the batched distance path, where halving
-// the memory traffic of the exemplar table is the win and the rounding
-// divergence is versioned into the compiled fingerprint.
+// Float32 batch kernels for compiled serve-time inference. Single queries
+// run the trained classifier in float64; these kernels serve the batched
+// distance path, where halving the memory traffic of the exemplar table is
+// the win and the rounding divergence is versioned into the compiled
+// fingerprint.
 
 // SqNormsF32 fills out[i] with the squared Euclidean norm of row i of the
 // n×d row-major matrix t and returns it (out is grown when too small).

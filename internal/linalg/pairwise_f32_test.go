@@ -21,7 +21,8 @@ func randMatrixF32(rng *rand.Rand, n, d int) ([]float32, [][]float64) {
 }
 
 // The f32 pairwise kernel must agree with the float64 reference within
-// float32 rounding across shapes that hit the tile edges.
+// float32 rounding across shapes that hit the tile edges, and a query's
+// row must be the same bits alone as anywhere in a batch.
 func TestPairwiseSqDistF32MatchesF64(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, shape := range []struct{ m, n, d int }{
@@ -35,7 +36,11 @@ func TestPairwiseSqDistF32MatchesF64(t *testing.T) {
 			t.Fatalf("shape %+v: got %d entries, want %d", shape, len(out), shape.m*shape.n)
 		}
 		for i := 0; i < shape.m; i++ {
+			alone := PairwiseSqDistF32Into(q32[i*shape.d:(i+1)*shape.d], 1, t32, shape.n, shape.d, tnorm, nil)
 			for j := 0; j < shape.n; j++ {
+				if math.Float32bits(alone[j]) != math.Float32bits(out[i*shape.n+j]) {
+					t.Errorf("shape %+v (%d,%d): %g alone, %g in the batch", shape, i, j, alone[j], out[i*shape.n+j])
+				}
 				want := SqDist(q64[i], t64[j])
 				got := float64(out[i*shape.n+j])
 				// The norms identity loses low bits relative to the direct

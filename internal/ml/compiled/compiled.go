@@ -1,24 +1,20 @@
-// Package compiled lowers trained classifiers into flat, serve-optimized
-// programs. The interpreted classifiers in nn, svm and tree are built for
-// training-time ergonomics — pointer-chasing tree nodes, [][]float64 row
-// slices, per-query kernel closures. A compiled Program holds the same
-// decision function in contiguous arrays:
+// Package compiled lowers trained classifiers into the flat programs that
+// answer serve-time batches. The classifiers in nn and svm are built for
+// training-time ergonomics — [][]float64 row slices, per-query kernel
+// closures. A compiled Program holds the same decision function in
+// contiguous float32 arrays:
 //
-//   - decision trees and boosted ensembles flatten into one node slab
-//     walked iteratively (no recursion, no pointer chasing);
-//   - the near-neighbor database becomes a flat exemplar table with a
-//     float32 mirror and precomputed squared norms;
+//   - the near-neighbor database becomes a flat exemplar table with
+//     precomputed squared norms;
 //   - kernel machines (LS-SVM, SMO, ridge regression) bake their support
 //     coefficients into dense matrices so a batched query is one distance
 //     sweep plus one GEMV.
 //
-// Two evaluation paths exist. Predict is the exact path: float64
-// arithmetic in the same operation order as the interpreted classifier,
-// so single-query answers are bit-identical, with zero steady-state heap
-// allocations (scratch comes from a sync.Pool). PredictBatch is the
-// throughput path: the whole batch runs through the float32 blocked
-// distance kernel, which rounds differently than float64 — the divergence
+// PredictBatch is the only evaluation path. A table program runs the whole
+// batch through the float32 blocked distance kernel, which rounds
+// differently than the classifier's float64 arithmetic — the divergence
 // is declared in Version, which callers fold into their fingerprints.
+// Single queries are answered by the trained classifier itself.
 package compiled
 
 import (
@@ -31,37 +27,28 @@ import (
 )
 
 // Compiler is implemented by classifiers that can lower themselves into a
-// compiled Program.
+// table Program.
 type Compiler interface {
 	Compile() (*Program, error)
 }
 
-// Lower compiles a classifier, or reports that it has no compiled form.
+// Lower compiles a classifier. A classifier with no table form — the
+// decision trees and boosted ensembles — batches through its own Predict,
+// one query at a time, which is exact, so its version carries no "+f32b".
 func Lower(c ml.Classifier) (*Program, error) {
-	cc, ok := c.(Compiler)
-	if !ok {
-		return nil, fmt.Errorf("compiled: classifier %T has no compiled lowering", c)
+	if cc, ok := c.(Compiler); ok {
+		return cc.Compile()
 	}
-	return cc.Compile()
+	return &Program{version: "exact/v1", direct: c}, nil
 }
 
 type kind uint8
 
 const (
-	kindForest kind = iota + 1
-	kindNN
+	kindNN kind = iota + 1
 	kindKernel
 	kindRegress
 )
-
-// Node is one flattened tree node. Left < 0 marks a leaf carrying Label;
-// otherwise the walk continues left when features[Feature] <= Threshold.
-type Node struct {
-	Feature     int32
-	Left, Right int32
-	Label       int32
-	Threshold   float64
-}
 
 // Program is a lowered classifier. Programs are immutable after
 // construction and safe for concurrent use; share them by pointer (the
@@ -69,19 +56,13 @@ type Node struct {
 type Program struct {
 	kind    kind
 	version string
+	direct  ml.Classifier // set for classifiers with no table form
 
-	norm *ml.Norm // nil for forests, which read raw features
+	norm *ml.Norm
 
-	// Forest: one slab of nodes, a root per tree, a vote weight per tree.
-	nodes  []Node
-	roots  []int32
-	weight []float64
-	single bool // single plain tree: return the leaf label directly
-
-	// Exemplar/support table, n rows × dim, flat row-major, with the
-	// float32 mirror and precomputed squared norms for the batch path.
+	// Exemplar/support table, n rows × dim, flat row-major float32, with
+	// precomputed squared norms.
 	n, dim  int
-	table   []float64
 	table32 []float32
 	norms32 []float32
 
@@ -90,99 +71,45 @@ type Program struct {
 	radius float64
 	oneNN  bool
 
-	// Kernel machines. alpha is bits×n row-major (premultiplied by y for
+	// Kernel machines. alpha32 is bits×n row-major (premultiplied by y for
 	// SMO); sigma > 0 selects the RBF kernel, otherwise the linear kernel.
-	bits     int
-	alpha    []float64
-	alpha32  []float32
-	bias     []float64
-	codes    [][]int8
-	sigma    float64
-	skipZero bool // preserve the interpreted SMO path's a == 0 skip
+	bits    int
+	alpha32 []float32
+	bias    []float64
+	codes   [][]int8
+	sigma   float64
 
 	scratch sync.Pool
 }
 
-// scratchBuf is the per-goroutine working set; pooled so the steady-state
-// Predict path performs zero heap allocations.
+// scratchBuf is the per-goroutine working set of a batch.
 type scratchBuf struct {
-	q   []float64 // normalized query
-	k   []float64 // kernel vector
+	q   []float64 // one normalized query
 	s   []float64 // per-bit scores
 	q32 []float32 // normalized batch queries, flat m×dim
 	d2  []float32 // batch squared distances, flat m×n
-	k32 []float32 // kernel vector (batch path)
-	s32 []float32 // per-bit scores (batch path)
+	k32 []float32 // kernel vector
+	s32 []float32 // per-bit float32 scores
 }
 
 func (p *Program) initPool() {
 	p.scratch.New = func() any {
 		return &scratchBuf{
 			q: make([]float64, p.dim),
-			k: make([]float64, p.n),
-			s: make([]float64, maxInt(p.bits, 1)),
+			s: make([]float64, max(p.bits, 1)),
 		}
 	}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Version names the lowering and its rounding policy. Exact lowerings
-// (forests) carry a bare tag; table lowerings append "+f32b" because their
-// batch path rounds in float32. Callers version fingerprints with it.
+// Version names the lowering and its rounding policy. Table lowerings
+// append "+f32b" because their batch path rounds in float32. Callers
+// version fingerprints with it.
 func (p *Program) Version() string { return p.version }
 
-// Kind names the lowered family, for logs and metrics.
-func (p *Program) Kind() string {
-	switch p.kind {
-	case kindForest:
-		return "forest"
-	case kindNN:
-		return "nn"
-	case kindKernel:
-		return "kernel"
-	case kindRegress:
-		return "regress"
-	}
-	return "unknown"
-}
-
-// TableRows reports the exemplar/support table size (0 for forests).
-func (p *Program) TableRows() int { return p.n }
-
-// Predict evaluates the exact float64 path: the same arithmetic in the
-// same order as the interpreted classifier, so the answer is bit-identical
-// to it, with zero steady-state allocations. The feature vector must have
-// the lowered model's dimensionality (forests tolerate any vector their
-// splits can index, exactly like the interpreted tree walk).
-func (p *Program) Predict(features []float64) int {
-	if p.kind == kindForest {
-		return p.forestPredict(features)
-	}
-	sc := p.scratch.Get().(*scratchBuf)
-	q := p.norm.ApplyInto(features, sc.q[:cap(sc.q)])
-	var out int
-	switch p.kind {
-	case kindNN:
-		out = p.nnPredict(q)
-	case kindKernel:
-		out = p.kernelPredict(q, sc)
-	case kindRegress:
-		out = p.regressPredict(q, sc)
-	}
-	p.scratch.Put(sc)
-	return out
-}
-
 // PredictBatch evaluates every query and writes the decisions into out
-// (grown when too small) and returns it. Forests run the exact walk per
-// query; table programs run the float32 blocked distance path across the
-// whole batch at once, which is the throughput mode Version declares.
+// (grown when too small) and returns it. Table programs run the float32
+// blocked distance path across the whole batch at once, which is the
+// rounding mode Version declares.
 func (p *Program) PredictBatch(qs [][]float64, out []int) []int {
 	if cap(out) < len(qs) {
 		out = make([]int, len(qs))
@@ -193,18 +120,17 @@ func (p *Program) PredictBatch(qs [][]float64, out []int) []int {
 	if m == 0 {
 		return out
 	}
-	if p.kind == kindForest {
+	if p.direct != nil {
 		for i, q := range qs {
-			out[i] = p.forestPredict(q)
+			out[i] = p.direct.Predict(q)
 		}
 		return out
 	}
 
 	sc := p.scratch.Get().(*scratchBuf)
 	sc.q32 = growF32(sc.q32, m*p.dim)
-	qbuf := sc.q[:cap(sc.q)]
 	for i, v := range qs {
-		nq := p.norm.ApplyInto(v, qbuf)
+		nq := p.norm.ApplyInto(v, sc.q)
 		dst := sc.q32[i*p.dim : (i+1)*p.dim]
 		for j, x := range nq {
 			dst[j] = float32(x)
@@ -224,8 +150,8 @@ func (p *Program) PredictBatch(qs [][]float64, out []int) []int {
 		sc.s32 = growF32(sc.s32, p.bits)
 		scores := sc.s[:p.bits]
 		for i := 0; i < m; i++ {
-			p.kernelRow32(sc.q32[i*p.dim:(i+1)*p.dim], sc.d2, i, sc.k32[:p.n])
-			linalg.MulVecF32(p.alpha32, p.bits, p.n, sc.k32[:p.n], sc.s32[:p.bits])
+			p.kernelRow32(sc.q32[i*p.dim:(i+1)*p.dim], sc.d2, i, sc.k32)
+			linalg.MulVecF32(p.alpha32, p.bits, p.n, sc.k32, sc.s32)
 			for b := 0; b < p.bits; b++ {
 				scores[b] = float64(sc.s32[b]) + p.bias[b]
 			}
@@ -234,8 +160,8 @@ func (p *Program) PredictBatch(qs [][]float64, out []int) []int {
 	case kindRegress:
 		sc.k32 = growF32(sc.k32, p.n)
 		for i := 0; i < m; i++ {
-			p.kernelRow32(sc.q32[i*p.dim:(i+1)*p.dim], sc.d2, i, sc.k32[:p.n])
-			s := float64(linalg.DotF32(p.alpha32, sc.k32[:p.n])) + p.bias[0]
+			p.kernelRow32(sc.q32[i*p.dim:(i+1)*p.dim], sc.d2, i, sc.k32)
+			s := float64(linalg.DotF32(p.alpha32, sc.k32)) + p.bias[0]
 			out[i] = clampRound(s)
 		}
 	}
@@ -250,87 +176,11 @@ func growF32(b []float32, n int) []float32 {
 	return b[:n]
 }
 
-// --- Forest --------------------------------------------------------------
-
-func (p *Program) forestPredict(features []float64) int {
-	if p.single {
-		return int(p.walk(p.roots[0], features))
-	}
-	var votes [ml.NumClasses + 1]float64
-	for t, root := range p.roots {
-		votes[p.walk(root, features)] += p.weight[t]
-	}
-	best := 1
-	for lab := 2; lab <= ml.NumClasses; lab++ {
-		if votes[lab] > votes[best] {
-			best = lab
-		}
-	}
-	return best
-}
-
-// walk descends one flattened tree iteratively.
-func (p *Program) walk(root int32, features []float64) int32 {
-	n := &p.nodes[root]
-	for n.Left >= 0 {
-		if features[n.Feature] <= n.Threshold {
-			n = &p.nodes[n.Left]
-		} else {
-			n = &p.nodes[n.Right]
-		}
-	}
-	return n.Label
-}
-
 // --- Near-neighbor -------------------------------------------------------
 
-// nnPredict mirrors nn.Classifier's radius vote exactly: same SqDist
-// accumulation, same tie-break on the closer exemplar, same single-nearest
-// fallback when the neighborhood is empty.
-func (p *Program) nnPredict(q []float64) int {
-	if p.oneNN {
-		return int(p.labels[p.nearest(q)])
-	}
-	r2 := p.radius * p.radius
-	var votes [ml.NumClasses + 1]int
-	var bestInClass [ml.NumClasses + 1]float64
-	for i := range bestInClass {
-		bestInClass[i] = math.Inf(1)
-	}
-	found := 0
-	for i := 0; i < p.n; i++ {
-		d2 := linalg.SqDist(q, p.table[i*p.dim:(i+1)*p.dim])
-		if d2 > r2 {
-			continue
-		}
-		found++
-		lab := p.labels[i]
-		votes[lab]++
-		if d2 < bestInClass[lab] {
-			bestInClass[lab] = d2
-		}
-	}
-	if found == 0 {
-		return int(p.labels[p.nearest(q)])
-	}
-	return voteArgmax(&votes, &bestInClass)
-}
-
-func (p *Program) nearest(q []float64) int {
-	best, bestD := -1, math.Inf(1)
-	for i := 0; i < p.n; i++ {
-		if d := linalg.SqDist(q, p.table[i*p.dim:(i+1)*p.dim]); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
-}
-
-// nnPredictRow32 is the float32 batch counterpart reading a precomputed
-// distance row.
+// nnPredictRow32 mirrors nn.Classifier's radius vote over a precomputed
+// float32 distance row: same tie-break on the closer exemplar, same
+// single-nearest fallback when the neighborhood is empty.
 func (p *Program) nnPredictRow32(d2s []float32) int {
 	if p.oneNN {
 		return int(p.labels[nearestRow32(d2s)])
@@ -373,10 +223,10 @@ func nearestRow32(d2s []float32) int {
 	return best
 }
 
-// voteArgmax picks the most-voted label with the interpreted classifiers'
-// exact rule: strictly more votes wins, equal votes go to the class whose
-// best exemplar is nearer.
-func voteArgmax[F float32 | float64](votes *[ml.NumClasses + 1]int, bestInClass *[ml.NumClasses + 1]F) int {
+// voteArgmax picks the most-voted label with the classifier's exact rule:
+// strictly more votes wins, equal votes go to the class whose best
+// exemplar is nearer.
+func voteArgmax(votes *[ml.NumClasses + 1]int, bestInClass *[ml.NumClasses + 1]float32) int {
 	best := 0
 	for label := 1; label <= ml.NumClasses; label++ {
 		if votes[label] == 0 {
@@ -394,21 +244,6 @@ func voteArgmax[F float32 | float64](votes *[ml.NumClasses + 1]int, bestInClass 
 
 // --- Kernel machines -----------------------------------------------------
 
-// kernelVec64 fills k with the exact kernel evaluations against every
-// table row: the RBF expression matches svm.RBF.Eval term for term.
-func (p *Program) kernelVec64(q, k []float64) {
-	if p.sigma > 0 {
-		denom := 2 * p.sigma * p.sigma
-		for i := range k {
-			k[i] = math.Exp(-linalg.SqDist(q, p.table[i*p.dim:(i+1)*p.dim]) / denom)
-		}
-		return
-	}
-	for i := range k {
-		k[i] = linalg.Dot(q, p.table[i*p.dim:(i+1)*p.dim])
-	}
-}
-
 // kernelRow32 fills k with float32 kernel evaluations for batch query i:
 // RBF reads the precomputed distance row, the linear kernel dots the query
 // against the float32 table.
@@ -424,39 +259,6 @@ func (p *Program) kernelRow32(qi []float32, d2 []float32, i int, k []float32) {
 	for j := range k {
 		k[j] = linalg.DotF32(qi, p.table32[j*p.dim:(j+1)*p.dim])
 	}
-}
-
-func (p *Program) kernelPredict(q []float64, sc *scratchBuf) int {
-	k := sc.k[:p.n]
-	p.kernelVec64(q, k)
-	scores := sc.s[:p.bits]
-	for bit := 0; bit < p.bits; bit++ {
-		s := p.bias[bit]
-		off := bit * p.n
-		if p.skipZero {
-			for i := 0; i < p.n; i++ {
-				if a := p.alpha[off+i]; a != 0 {
-					s += a * k[i]
-				}
-			}
-		} else {
-			for i := 0; i < p.n; i++ {
-				s += p.alpha[off+i] * k[i]
-			}
-		}
-		scores[bit] = s
-	}
-	return decode(p.codes, scores)
-}
-
-func (p *Program) regressPredict(q []float64, sc *scratchBuf) int {
-	k := sc.k[:p.n]
-	p.kernelVec64(q, k)
-	s := p.bias[0]
-	for i := 0; i < p.n; i++ {
-		s += p.alpha[i] * k[i]
-	}
-	return clampRound(s)
 }
 
 // decode replicates svm.Codes.Decode: nearest codeword by Hamming distance
@@ -498,30 +300,28 @@ func clampRound(v float64) int {
 
 // --- Constructors --------------------------------------------------------
 
-// flattenRows packs row slices into the flat table plus its float32 mirror
-// and precomputed squared norms.
-func flattenRows(rows [][]float64) (table []float64, table32, norms32 []float32, dim int, err error) {
+// flattenRows packs row slices into one float32 table plus its
+// precomputed squared norms.
+func flattenRows(rows [][]float64) (table32, norms32 []float32, dim int, err error) {
 	n := len(rows)
 	if n == 0 {
-		return nil, nil, nil, 0, fmt.Errorf("compiled: empty exemplar table")
+		return nil, nil, 0, fmt.Errorf("compiled: empty exemplar table")
 	}
 	dim = len(rows[0])
 	if dim == 0 {
-		return nil, nil, nil, 0, fmt.Errorf("compiled: zero-dimensional exemplars")
+		return nil, nil, 0, fmt.Errorf("compiled: zero-dimensional exemplars")
 	}
-	table = make([]float64, n*dim)
 	table32 = make([]float32, n*dim)
 	for i, r := range rows {
 		if len(r) != dim {
-			return nil, nil, nil, 0, fmt.Errorf("compiled: ragged exemplar table: row %d has %d features, want %d", i, len(r), dim)
+			return nil, nil, 0, fmt.Errorf("compiled: ragged exemplar table: row %d has %d features, want %d", i, len(r), dim)
 		}
-		copy(table[i*dim:(i+1)*dim], r)
 		for j, v := range r {
 			table32[i*dim+j] = float32(v)
 		}
 	}
 	norms32 = linalg.SqNormsF32(table32, n, dim, nil)
-	return table, table32, norms32, dim, nil
+	return table32, norms32, dim, nil
 }
 
 // NewNN lowers a near-neighbor database: normalized rows, their labels,
@@ -536,13 +336,13 @@ func NewNN(norm *ml.Norm, rows [][]float64, labels []int, radius float64, oneNN 
 	if !oneNN && radius <= 0 {
 		return nil, fmt.Errorf("compiled: non-positive voting radius %v", radius)
 	}
-	table, table32, norms32, dim, err := flattenRows(rows)
+	table32, norms32, dim, err := flattenRows(rows)
 	if err != nil {
 		return nil, err
 	}
 	p := &Program{
 		kind: kindNN, version: "nn/v1+f32b", norm: norm,
-		n: len(rows), dim: dim, table: table, table32: table32, norms32: norms32,
+		n: len(rows), dim: dim, table32: table32, norms32: norms32,
 		radius: radius, oneNN: oneNN,
 		labels: make([]int32, len(labels)),
 	}
@@ -565,9 +365,6 @@ type KernelMachine struct {
 	Alpha [][]float64
 	Bias  []float64
 	Codes [][]int8
-	// SkipZero preserves the interpreted path's alpha == 0 skip (SMO),
-	// keeping the score accumulation bit-identical.
-	SkipZero bool
 }
 
 // NewKernelMachine lowers a multi-class kernel classifier.
@@ -587,24 +384,22 @@ func NewKernelMachine(km KernelMachine) (*Program, error) {
 			return nil, fmt.Errorf("compiled: codeword has %d bits, want %d", len(cw), bits)
 		}
 	}
-	table, table32, norms32, dim, err := flattenRows(km.Rows)
+	table32, norms32, dim, err := flattenRows(km.Rows)
 	if err != nil {
 		return nil, err
 	}
 	n := len(km.Rows)
 	p := &Program{
 		kind: kindKernel, version: "kern/v1+f32b", norm: km.Norm,
-		n: n, dim: dim, table: table, table32: table32, norms32: norms32,
-		bits: bits, bias: km.Bias, codes: km.Codes,
-		sigma: km.Sigma, skipZero: km.SkipZero,
-		alpha: make([]float64, bits*n), alpha32: make([]float32, bits*n),
+		n: n, dim: dim, table32: table32, norms32: norms32,
+		bits: bits, bias: km.Bias, codes: km.Codes, sigma: km.Sigma,
+		alpha32: make([]float32, bits*n),
 	}
 	for bit, a := range km.Alpha {
 		if len(a) != n {
 			return nil, fmt.Errorf("compiled: bit %d has %d coefficients for %d rows", bit, len(a), n)
 		}
 		for i, v := range a {
-			p.alpha[bit*n+i] = v
 			p.alpha32[bit*n+i] = float32(v)
 		}
 	}
@@ -627,7 +422,7 @@ func NewRegressor(r Regressor) (*Program, error) {
 	if r.Norm == nil {
 		return nil, fmt.Errorf("compiled: regress lowering needs a normalizer")
 	}
-	table, table32, norms32, dim, err := flattenRows(r.Rows)
+	table32, norms32, dim, err := flattenRows(r.Rows)
 	if err != nil {
 		return nil, err
 	}
@@ -637,77 +432,13 @@ func NewRegressor(r Regressor) (*Program, error) {
 	}
 	p := &Program{
 		kind: kindRegress, version: "reg/v1+f32b", norm: r.Norm,
-		n: n, dim: dim, table: table, table32: table32, norms32: norms32,
-		bias:  []float64{r.Bias},
-		sigma: r.Sigma,
-		alpha: make([]float64, n), alpha32: make([]float32, n),
+		n: n, dim: dim, table32: table32, norms32: norms32,
+		bias:    []float64{r.Bias},
+		sigma:   r.Sigma,
+		alpha32: make([]float32, n),
 	}
-	copy(p.alpha, r.Alpha)
 	for i, v := range r.Alpha {
 		p.alpha32[i] = float32(v)
-	}
-	p.initPool()
-	return p, nil
-}
-
-// ForestBuilder assembles flattened decision trees into one Program.
-// Build each tree bottom-up with Leaf and Split, seal it with EndTree,
-// then Finish.
-type ForestBuilder struct {
-	nodes  []Node
-	roots  []int32
-	weight []float64
-}
-
-// NewForestBuilder returns an empty builder.
-func NewForestBuilder() *ForestBuilder { return &ForestBuilder{} }
-
-// Leaf appends a leaf node and returns its index.
-func (b *ForestBuilder) Leaf(label int) (int32, error) {
-	if label < 0 || label > ml.NumClasses {
-		return 0, fmt.Errorf("compiled: leaf label %d outside [0,%d]", label, ml.NumClasses)
-	}
-	b.nodes = append(b.nodes, Node{Left: -1, Right: -1, Label: int32(label)})
-	return int32(len(b.nodes) - 1), nil
-}
-
-// Split appends an internal node over two already-built children and
-// returns its index.
-func (b *ForestBuilder) Split(feature int, threshold float64, left, right int32) (int32, error) {
-	if feature < 0 {
-		return 0, fmt.Errorf("compiled: negative split feature %d", feature)
-	}
-	n := int32(len(b.nodes))
-	if left < 0 || left >= n || right < 0 || right >= n {
-		return 0, fmt.Errorf("compiled: split children (%d, %d) outside built range [0,%d)", left, right, n)
-	}
-	b.nodes = append(b.nodes, Node{Feature: int32(feature), Left: left, Right: right, Threshold: threshold})
-	return n, nil
-}
-
-// EndTree seals the current tree at the given root with its vote weight.
-func (b *ForestBuilder) EndTree(root int32, weight float64) error {
-	if root < 0 || root >= int32(len(b.nodes)) {
-		return fmt.Errorf("compiled: tree root %d outside built range [0,%d)", root, len(b.nodes))
-	}
-	b.roots = append(b.roots, root)
-	b.weight = append(b.weight, weight)
-	return nil
-}
-
-// Finish returns the forest Program. single marks a lone plain tree whose
-// leaf label is returned directly (the interpreted Tree.Predict contract)
-// instead of through the weighted vote.
-func (b *ForestBuilder) Finish(single bool) (*Program, error) {
-	if len(b.roots) == 0 {
-		return nil, fmt.Errorf("compiled: forest has no trees")
-	}
-	if single && len(b.roots) != 1 {
-		return nil, fmt.Errorf("compiled: single-tree forest has %d trees", len(b.roots))
-	}
-	p := &Program{
-		kind: kindForest, version: "forest/v1",
-		nodes: b.nodes, roots: b.roots, weight: b.weight, single: single,
 	}
 	p.initPool()
 	return p, nil

@@ -33,12 +33,18 @@ func Project(d *ml.Dataset, out int) (*Projection, error) {
 	rows := norm.ApplyAll(d)
 	n := len(rows)
 
-	// Class and global means.
-	classRows := map[int][][]float64{}
+	// Class and global means. Classes are indexed by label and the scatter
+	// accumulates in label order, so the projection is the same bits on
+	// every call.
+	var classRows [ml.NumClasses + 1][][]float64
+	classes := 0
 	for i, e := range d.Examples {
+		if classRows[e.Label] == nil {
+			classes++
+		}
 		classRows[e.Label] = append(classRows[e.Label], rows[i])
 	}
-	if len(classRows) < 2 {
+	if classes < 2 {
 		return nil, fmt.Errorf("lda: need at least 2 classes")
 	}
 	global := make([]float64, dim)
@@ -53,6 +59,9 @@ func Project(d *ml.Dataset, out int) (*Projection, error) {
 	sb := linalg.NewMatrix(dim, dim)
 	diff := make([]float64, dim)
 	for _, members := range classRows {
+		if len(members) == 0 {
+			continue
+		}
 		mean := make([]float64, dim)
 		for _, r := range members {
 			linalg.AXPY(1, r, mean)

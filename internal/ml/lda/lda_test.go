@@ -111,3 +111,26 @@ func TestProjectErrors(t *testing.T) {
 		t.Error("expected single-class error")
 	}
 }
+
+// TestProjectRepeatable pins Figures 1 and 2: repeated fits on one dataset
+// return the same projection bits.
+func TestProjectRepeatable(t *testing.T) {
+	d := mltest.Clusters(160, 6, ml.NumClasses, 0.5, 2)
+	want, err := Project(d, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 0; call < 20; call++ {
+		p, err := Project(d, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < want.W.Rows(); r++ {
+			for c := 0; c < want.W.Cols(); c++ {
+				if math.Float64bits(p.W.At(r, c)) != math.Float64bits(want.W.At(r, c)) {
+					t.Fatalf("call %d: W[%d][%d] = %v, first call %v", call, r, c, p.W.At(r, c), want.W.At(r, c))
+				}
+			}
+		}
+	}
+}

@@ -59,21 +59,28 @@ func featureScore(d *ml.Dataset, f, bins int) float64 {
 		return lo
 	}
 
-	joint := make(map[[2]int]int)
-	binCount := make(map[int]int)
-	labelCount := make(map[int]int)
+	// Counts indexed by bin and label, summed in that order so the score
+	// is the same bits on every call.
+	joint := make([][ml.NumClasses + 1]int, bins)
+	binCount := make([]int, bins)
+	var labelCount [ml.NumClasses + 1]int
 	for i, e := range d.Examples {
 		b := binOf(vals[i])
-		joint[[2]int{b, e.Label}]++
+		joint[b][e.Label]++
 		binCount[b]++
 		labelCount[e.Label]++
 	}
 	var info float64
-	for key, c := range joint {
-		pxy := float64(c) / float64(n)
-		px := float64(binCount[key[0]]) / float64(n)
-		py := float64(labelCount[key[1]]) / float64(n)
-		info += pxy * math.Log2(pxy/(px*py))
+	for b := range joint {
+		for y, c := range joint[b] {
+			if c == 0 {
+				continue
+			}
+			pxy := float64(c) / float64(n)
+			px := float64(binCount[b]) / float64(n)
+			py := float64(labelCount[y]) / float64(n)
+			info += pxy * math.Log2(pxy/(px*py))
+		}
 	}
 	if info < 0 {
 		info = 0 // guard against negative rounding noise

@@ -1,6 +1,7 @@
 package mis
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -75,5 +76,19 @@ func TestScoresNonNegative(t *testing.T) {
 func TestEmptyDataset(t *testing.T) {
 	if s := Scores(&ml.Dataset{}, 0); s != nil {
 		t.Errorf("scores of empty = %v", s)
+	}
+}
+
+// TestScoresRepeatable pins Table 3's input: repeated calls on one dataset
+// return the same score bits.
+func TestScoresRepeatable(t *testing.T) {
+	d := mltest.Clusters(400, 6, ml.NumClasses, 1.5, 5)
+	want := Scores(d, 0)
+	for call := 0; call < 20; call++ {
+		for f, s := range Scores(d, 0) {
+			if math.Float64bits(s) != math.Float64bits(want[f]) {
+				t.Fatalf("call %d: feature %d scored %v, first call %v", call, f, s, want[f])
+			}
+		}
 	}
 }

@@ -52,9 +52,8 @@ func (m *RegModel) Compile() (*compiled.Program, error) {
 	})
 }
 
-// Compile premultiplies each bit's coefficients by its binary targets
-// (the interpreted path computes (a·y)·k left to right, so baking a·y in
-// is bit-identical) and keeps the a == 0 skip via SkipZero.
+// Compile premultiplies each bit's coefficients by its binary targets, so
+// the compiled score is one GEMV over a·y.
 func (m *smoModel) Compile() (*compiled.Program, error) {
 	sigma, err := kernelSigma(m.kernel)
 	if err != nil {
@@ -76,6 +75,5 @@ func (m *smoModel) Compile() (*compiled.Program, error) {
 	return compiled.NewKernelMachine(compiled.KernelMachine{
 		Norm: m.norm, Rows: m.rows, Sigma: sigma,
 		Alpha: alpha, Bias: bias, Codes: m.codes.Bits,
-		SkipZero: true,
 	})
 }

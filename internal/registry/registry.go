@@ -27,21 +27,20 @@ import (
 )
 
 var (
-	mLoads       = obs.C("registry.loads")
-	mEvictions   = obs.C("registry.evictions")
-	mPromotions  = obs.C("registry.promotions")
-	mCompileErr  = obs.C("registry.compile_errors")
-	mResident    = obs.G("registry.models")
+	mLoads        = obs.C("registry.loads")
+	mEvictions    = obs.C("registry.evictions")
+	mPromotions   = obs.C("registry.promotions")
+	mResident     = obs.G("registry.models")
 	mOverBound    = obs.C("registry.overbound")
 	mStateWrites  = obs.C("registry.state_writes")
 	mStateCorrupt = obs.C("registry.state_corrupt")
 )
 
-// Model is one immutable loaded version: the interpreted predictor, its
-// serve-optimized compiled lowering (nil when compilation failed and the
-// interpreted model answers), and provenance. Promotion and eviction move
-// pointers; a Model's contents never change after insert, so holders may
-// keep serving from one across any registry mutation.
+// Model is one immutable loaded version: the trained predictor, which
+// answers single queries, its compiled lowering, which answers batches,
+// and provenance. Promotion and eviction move pointers; a Model's
+// contents never change after insert, so holders may keep serving from
+// one across any registry mutation.
 type Model struct {
 	Pred     *unroll.Predictor
 	Comp     *unroll.CompiledPredictor
@@ -50,17 +49,8 @@ type Model struct {
 }
 
 // Fingerprint is the version key: the artifact fingerprint of the
-// interpreted predictor.
+// trained predictor.
 func (m *Model) Fingerprint() string { return m.Pred.Fingerprint() }
-
-// Compiled returns the compiled lowering's versioned fingerprint, empty
-// when the version serves interpreted.
-func (m *Model) Compiled() string {
-	if m.Comp == nil {
-		return ""
-	}
-	return m.Comp.Fingerprint()
-}
 
 // Snapshot is one version's registry placement at List time.
 type Snapshot struct {
@@ -127,25 +117,21 @@ func New(cfg Config) *Registry {
 }
 
 // Insert adds an already-loaded predictor as a resident version, compiling
-// it for serving (compilation failure is not fatal: the version serves
-// interpreted). Re-inserting a resident fingerprint refreshes its alias
-// and pin rather than duplicating it. The first version ever inserted
-// becomes the default.
+// it for serving; a predictor that fails to compile is refused like any
+// other bad artifact. Re-inserting a resident fingerprint refreshes its
+// alias and pin rather than duplicating it. The first version ever
+// inserted becomes the default.
 func (r *Registry) Insert(pred *unroll.Predictor, path, alias string, pin bool) (*Model, error) {
 	fp := pred.Fingerprint()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.entries[fp]
 	if !ok {
-		m := &Model{Pred: pred, Path: path, LoadedAt: r.cfg.Now()}
 		comp, err := unroll.Compile(pred)
 		if err != nil {
-			mCompileErr.Inc()
-			log.Printf("registry: compile %s: %v; serving interpreted", short(fp), err)
-		} else {
-			m.Comp = comp
+			return nil, fmt.Errorf("registry: insert %s: %w", short(fp), err)
 		}
-		e = &entry{model: m}
+		e = &entry{model: &Model{Pred: pred, Comp: comp, Path: path, LoadedAt: r.cfg.Now()}}
 		r.entries[fp] = e
 		mLoads.Inc()
 	}

@@ -9,8 +9,9 @@
 //     unboundedly;
 //   - per-request deadlines propagate through context.Context from the
 //     HTTP handler into the predictor;
-//   - queued requests are micro-batched through Predictor.PredictBatch, so
-//     a worker drains several waiting requests per model dispatch;
+//   - queued requests are micro-batched through the compiled predictor's
+//     float32 batch path, so a worker drains several waiting requests per
+//     model dispatch;
 //   - an LRU cache keyed by the canonicalized loop hash (which embeds the
 //     model fingerprint) short-circuits repeated queries;
 //   - POST /v1/admin/reload swaps the model atomically with zero dropped
@@ -133,9 +134,7 @@ var (
 	mReloads    = obs.C("serve.model.reloads")
 	mPanics     = obs.C("serve.worker_panics")
 	mNonFinite  = obs.C("serve.nonfinite_features")
-	mCompileErr = obs.C("serve.compile_errors")
 	mQueueDepth = obs.G("serve.queue.depth")
-	mCompiled   = obs.G("serve.compiled")
 	mUnready    = obs.G("serve.unready_panic_streak")
 	hLatencyUS  = obs.H("serve.latency_us", obs.ExpBounds(50, 2, 16))
 	hBatchItems = obs.H("serve.batch.items", obs.ExpBounds(1, 2, 8))
@@ -201,7 +200,7 @@ func modelInfo(m *registry.Model) client.ModelInfo {
 		ModelVersion: m.Pred.Version(),
 		Fingerprint:  m.Fingerprint(),
 		Path:         m.Path,
-		Compiled:     m.Compiled(),
+		Compiled:     m.Comp.Fingerprint(),
 		LoadedAt:     m.LoadedAt,
 	}
 }
@@ -345,7 +344,6 @@ func New(cfg Config) (*Server, error) {
 	if _, err := s.reg.Promote(boot.Fingerprint()); err != nil {
 		return nil, err
 	}
-	s.noteDefault()
 	s.workers.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -458,34 +456,14 @@ func (s *Server) Reload(path string) (previous, current *registry.Model, err err
 
 // modelPromoted runs after every default swap: a fresh model gets a fresh
 // chance — the panic streak belongs to the model that earned it, so
-// promotion clears the unready latch — and the serve.compiled gauge tracks
-// which prediction path the new default answers on.
+// promotion clears the unready latch.
 func (s *Server) modelPromoted() {
 	s.panicStreak.Store(0)
 	mUnready.Set(0)
-	s.noteDefault()
-}
-
-// noteDefault refreshes the serve.compiled gauge from the default version.
-func (s *Server) noteDefault() {
-	if m := s.reg.Default(); m != nil && m.Comp != nil {
-		mCompiled.Set(1)
-	} else {
-		mCompiled.Set(0)
-	}
 }
 
 // Registry exposes the server's model registry (CLI wiring and tests).
 func (s *Server) Registry() *registry.Registry { return s.reg }
-
-// CompiledFingerprint reports the versioned fingerprint of the compiled
-// lowering currently serving, or "" when the interpreted model answers.
-func (s *Server) CompiledFingerprint() string {
-	if m := s.reg.Default(); m != nil {
-		return m.Compiled()
-	}
-	return ""
-}
 
 // enqueue admits a job, or reports failure when the queue is full or the
 // server is draining.
@@ -662,9 +640,8 @@ func batchReqID(jobs []*job) string {
 	return ""
 }
 
-// safePredictFeatures runs one feature-vector prediction with per-item
-// panic containment, through the compiled exact path (bit-identical to the
-// interpreted answer, zero-allocation) when the model has one.
+// safePredictFeatures runs one feature-vector prediction on the trained
+// predictor with per-item panic containment.
 func (s *Server) safePredictFeatures(st *registry.Model, it *item) (factor int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -673,9 +650,6 @@ func (s *Server) safePredictFeatures(st *registry.Model, it *item) (factor int, 
 	}()
 	if err := faults.Check("serve.predict"); err != nil {
 		return 0, err
-	}
-	if st.Comp != nil {
-		return st.Comp.PredictFeatures(it.feats)
 	}
 	return st.Pred.PredictFeatures(it.feats)
 }
@@ -690,17 +664,14 @@ func (s *Server) safePredictLoop(ctx context.Context, st *registry.Model, it *it
 	if err := faults.Check("serve.predict"); err != nil {
 		return 0, err
 	}
-	if st.Comp != nil {
-		return st.Comp.PredictCtx(ctx, it.loop)
-	}
 	return st.Pred.PredictCtx(ctx, it.loop)
 }
 
 // safePredictBatch runs the merged model dispatch with panic containment;
 // a panic reports as an error so runBatch falls back to per-item
-// prediction, isolating the offending loop. A compiled model answers the
-// whole batch through the float32 distance path into the arena's recycled
-// factor slice; otherwise the interpreted PredictBatch allocates one.
+// prediction, isolating the offending loop. The compiled predictor answers
+// the whole batch through the float32 distance path into the arena's
+// recycled factor slice.
 func (s *Server) safePredictBatch(ctx context.Context, st *registry.Model, reqID string, loops []*unroll.Loop, out []int) (factors []int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -710,18 +681,15 @@ func (s *Server) safePredictBatch(ctx context.Context, st *registry.Model, reqID
 	if err := faults.Check("serve.batch"); err != nil {
 		return nil, err
 	}
-	if st.Comp != nil {
-		if cap(out) < len(loops) {
-			out = make([]int, len(loops))
-		} else {
-			out = out[:len(loops)]
-		}
-		if err := st.Comp.PredictBatchInto(ctx, loops, out); err != nil {
-			return nil, err
-		}
-		return out, nil
+	if cap(out) < len(loops) {
+		out = make([]int, len(loops))
+	} else {
+		out = out[:len(loops)]
 	}
-	return st.Pred.PredictBatch(ctx, loops)
+	if err := st.Comp.PredictBatchInto(ctx, loops, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // batchContext builds the context a merged micro-batch computes under: the
@@ -743,9 +711,8 @@ func batchContext(jobs []*job) (context.Context, context.CancelFunc) {
 }
 
 // runBatch predicts every live item across the gathered jobs in one
-// PredictBatch dispatch per model version, falling back to per-item
-// prediction if a batch call fails so one bad loop cannot poison its
-// neighbors. Each job computes on the version it resolved at admission —
+// batch dispatch per model version, falling back to per-item prediction
+// if a batch call fails so one bad loop cannot poison its neighbors. Each job computes on the version it resolved at admission —
 // a promotion mid-flight never reroutes admitted work. All intermediate
 // storage lives in the worker's arena and is recycled across dispatches.
 func (s *Server) runBatch(ar *batchArena) {

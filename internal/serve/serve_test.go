@@ -1,15 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"metaopt/internal/loopgen"
 	"metaopt/unroll"
 	"metaopt/unroll/client"
 )
@@ -85,7 +89,11 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *client.Client) {
 		defer cancel()
 		s.Shutdown(ctx)
 	})
-	return s, client.New("http://" + addr)
+	c, err := client.NewClient(client.Config{Endpoints: []string{"http://" + addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, c
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -504,4 +512,140 @@ func TestServeHealthReady(t *testing.T) {
 	if info.Fingerprint != pred.Fingerprint() || info.ModelVersion != unroll.PersistVersion {
 		t.Errorf("model info: %+v", info)
 	}
+}
+
+// uncompilableArtifact writes a near-neighbor artifact whose exemplar
+// table is ragged: it loads, but its compiled lowering fails.
+func uncompilableArtifact(t *testing.T) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trainPredictor(t, unroll.NearNeighbor).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var env, model map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(env["model"], &model); err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]float64
+	if err := json.Unmarshal(model["rows"], &rows); err != nil {
+		t.Fatal(err)
+	}
+	rows[0] = rows[0][:len(rows[0])-1]
+	var err error
+	if model["rows"], err = json.Marshal(rows); err != nil {
+		t.Fatal(err)
+	}
+	if env["model"], err = json.Marshal(model); err != nil {
+		t.Fatal(err)
+	}
+	delete(env, "fingerprint") // loads as an unverified blob
+	blob, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ragged.json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := unroll.LoadPredictorFile(path); err != nil {
+		t.Fatalf("ragged artifact must load: %v", err)
+	}
+	return path
+}
+
+// TestServeRefusesUncompilableModel: a model whose compiled lowering fails
+// is refused at load, reload and shadow like any other bad artifact, and
+// the serving model is unchanged.
+func TestServeRefusesUncompilableModel(t *testing.T) {
+	pred := trainPredictor(t, unroll.DecisionTree)
+	path := uncompilableArtifact(t)
+	_, c := newTestServer(t, Config{Model: pred})
+	ctx := context.Background()
+
+	if _, err := c.Reload(ctx, path); err == nil {
+		t.Error("reload accepted a model that does not compile")
+	}
+	if _, err := c.ModelLoad(ctx, client.ModelLoadRequest{Path: path}); err == nil {
+		t.Error("admin load accepted a model that does not compile")
+	}
+	if _, err := c.Shadow(ctx, path, 1); err == nil {
+		t.Error("shadow accepted a model that does not compile")
+	}
+	models, err := c.Models(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(models.Models) != 1 || models.Models[0].Fingerprint != pred.Fingerprint() {
+		t.Errorf("registry after refused loads: %+v", models.Models)
+	}
+	if info, err := c.Model(ctx); err != nil || info.Fingerprint != pred.Fingerprint() || info.Compiled == "" {
+		t.Errorf("serving model after refused loads: %+v, %v", info, err)
+	}
+}
+
+// TestServeCacheKeySeesNoAlias: two sources that differ only by noalias
+// lower to loops with different features, so each gets its own cache
+// entry and its own factor.
+func TestServeCacheKeySeesNoAlias(t *testing.T) {
+	pred := trainPredictor(t, unroll.NearNeighbor)
+	_, c := newTestServer(t, Config{Model: pred, RequestTimeout: 30 * time.Second})
+	ctx := context.Background()
+	srcs := []string{
+		`kernel copy lang=c { double a[], b[]; for i = 0 .. 512 { a[i] = b[i] + a[i-1]; } }`,
+		`kernel copy lang=c { double a[], b[]; noalias; for i = 0 .. 512 { a[i] = b[i] + a[i-1]; } }`,
+	}
+	m := unroll.Itanium2()
+	if f0, f1 := unroll.Features(parseKernel(t, srcs[0]), m), unroll.Features(parseKernel(t, srcs[1]), m); slices.Equal(f0, f1) {
+		t.Fatal("noalias does not change the features of the test kernel")
+	}
+	for i, src := range srcs {
+		want, err := pred.PredictCtx(ctx, parseKernel(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.Predict(ctx, client.PredictRequest{Source: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached {
+			t.Errorf("source %d answered from another loop's cache entry", i)
+		}
+		if resp.Factor != want {
+			t.Errorf("source %d: factor %d, library says %d", i, resp.Factor, want)
+		}
+	}
+}
+
+// TestCacheKeyPrintImpliesFeatures checks the premise of the source cache
+// key over the held-out corpus the serve benchmark replays: loops that
+// print alike extract equal feature vectors, so a cache hit can only
+// return the factor the loop itself would get.
+func TestCacheKeyPrintImpliesFeatures(t *testing.T) {
+	held, err := loopgen.Generate(loopgen.Options{Seed: 2005, LoopsScale: 1, Replicate: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := unroll.Itanium2()
+	byPrint := map[string][]float64{}
+	n, shared := 0, 0
+	for _, b := range held.Benchmarks {
+		for _, src := range b.Sources {
+			l := parseKernel(t, src)
+			v := unroll.Features(l, m)
+			key := l.String()
+			n++
+			if prev, ok := byPrint[key]; ok {
+				shared++
+				if !slices.Equal(prev, v) {
+					t.Fatalf("%s prints like an earlier loop but extracts different features:\n%s", l.Name, key)
+				}
+				continue
+			}
+			byPrint[key] = v
+		}
+	}
+	t.Logf("%d loops, %d distinct prints, %d sharing a print", n, len(byPrint), shared)
 }

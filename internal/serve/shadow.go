@@ -26,7 +26,6 @@ import (
 // they were sampled under.
 type shadowState struct {
 	pred      *unroll.Predictor
-	comp      *unroll.CompiledPredictor // nil: interpreted fallback
 	path      string
 	mille     int64 // mirrored fraction in thousandths [0,1000]
 	startedAt time.Time
@@ -108,11 +107,11 @@ func (s *Server) runShadow(t shadowTask) {
 	prim := s.reg.Default()
 
 	start := time.Now()
-	_, primErr := predictOn(prim.Comp, prim.Pred, t)
+	_, primErr := predictOn(prim.Pred, t)
 	primNS := time.Since(start).Nanoseconds()
 
 	start = time.Now()
-	shadowFactor, shadowErr := predictOn(t.st.comp, t.st.pred, t)
+	shadowFactor, shadowErr := predictOn(t.st.pred, t)
 	shadowNS := time.Since(start).Nanoseconds()
 
 	if primErr != nil || shadowErr != nil {
@@ -134,17 +133,10 @@ func (s *Server) runShadow(t shadowTask) {
 	t.st.confusion[confusionIdx(t.factor, shadowFactor)].Add(1)
 }
 
-// predictOn answers a mirrored task on the given model, compiled when
-// available.
-func predictOn(comp *unroll.CompiledPredictor, pred *unroll.Predictor, t shadowTask) (int, error) {
+// predictOn answers a mirrored task on the given trained predictor.
+func predictOn(pred *unroll.Predictor, t shadowTask) (int, error) {
 	if t.feats != nil {
-		if comp != nil {
-			return comp.PredictFeatures(t.feats)
-		}
 		return pred.PredictFeatures(t.feats)
-	}
-	if comp != nil {
-		return comp.PredictCtx(context.Background(), t.loop)
 	}
 	return pred.PredictCtx(context.Background(), t.loop)
 }
@@ -162,9 +154,9 @@ func confusionIdx(primary, shadow int) int {
 }
 
 // handleShadow loads (or clears) the shadow candidate. Fraction must be
-// in (0,1] to enable; 0 disables shadowing. The candidate is compiled
-// through the same lowering as the live model; a compile failure falls
-// back to interpreted shadow prediction and is reported, never fatal.
+// in (0,1] to enable; 0 disables shadowing. The candidate is compiled at
+// load as the registry compiles a live model, and one that fails to
+// compile is refused like any other bad artifact.
 func (s *Server) handleShadow(w http.ResponseWriter, r *http.Request) {
 	var req client.ShadowRequest
 	if !decodeBody(w, r, &req) {
@@ -189,6 +181,11 @@ func (s *Server) handleShadow(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("shadow load: %v", err))
 		return
 	}
+	comp, err := unroll.Compile(pred)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("shadow load: %v", err))
+		return
+	}
 	st := &shadowState{
 		pred:      pred,
 		path:      req.Path,
@@ -197,13 +194,6 @@ func (s *Server) handleShadow(w http.ResponseWriter, r *http.Request) {
 	}
 	if st.mille == 0 {
 		st.mille = 1 // a nonzero fraction mirrors at least 1 in 1000
-	}
-	comp, err := unroll.Compile(pred)
-	if err != nil {
-		mCompileErr.Inc()
-		log.Printf("serve: shadow compile: %v; shadowing with interpreted model", err)
-	} else {
-		st.comp = comp
 	}
 	s.shadow.Store(st)
 	mShadowActive.Set(1)
@@ -215,11 +205,9 @@ func (s *Server) handleShadow(w http.ResponseWriter, r *http.Request) {
 			ModelVersion: pred.Version(),
 			Fingerprint:  pred.Fingerprint(),
 			Path:         req.Path,
+			Compiled:     comp.Fingerprint(),
 			LoadedAt:     st.startedAt,
 		},
-	}
-	if st.comp != nil {
-		resp.Compiled = st.comp.Fingerprint()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

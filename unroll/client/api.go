@@ -79,8 +79,8 @@ type ModelInfo struct {
 	ModelVersion int    `json:"model_version"`
 	Fingerprint  string `json:"fingerprint"`
 	Path         string `json:"path,omitempty"`
-	// Compiled is the versioned fingerprint of the compiled lowering
-	// answering queries, empty when the interpreted model serves.
+	// Compiled is the versioned fingerprint of the compiled lowering that
+	// answers batches of loops.
 	Compiled string    `json:"compiled,omitempty"`
 	LoadedAt time.Time `json:"loaded_at"`
 	// Registry placement: Default marks the promoted version, Pinned a

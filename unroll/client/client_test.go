@@ -26,7 +26,7 @@ func TestClientErrorHandling(t *testing.T) {
 		}
 	}))
 	defer srv.Close()
-	c := New(srv.URL + "/") // trailing slash is normalized
+	c := newTestClient(t, srv.URL+"/") // trailing slash is normalized
 	ctx := context.Background()
 
 	_, err := c.Predict(ctx, PredictRequest{Source: "kernel k lang=c {}"})
@@ -54,4 +54,14 @@ func TestClientErrorHandling(t *testing.T) {
 	} else if IsOverloaded(err) {
 		t.Error("500 is not overload")
 	}
+}
+
+// newTestClient builds a client for the single test server at base.
+func newTestClient(t *testing.T, base string, opts ...Option) *Client {
+	t.Helper()
+	c, err := NewClient(Config{Endpoints: []string{base}}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -139,17 +139,3 @@ func NewClient(cfg Config, opts ...Option) (*Client, error) {
 	}
 	return c, nil
 }
-
-// New returns a client for the single server at base, e.g.
-// "http://127.0.0.1:8080".
-//
-// Deprecated: Use NewClient with Config.Endpoints (or WithEndpoints),
-// which this shim wraps; New cannot express a replica set.
-func New(base string, opts ...Option) *Client {
-	c, err := NewClient(Config{Endpoints: []string{base}}, opts...)
-	if err != nil {
-		// Unreachable: exactly one endpoint is always supplied above.
-		panic(err)
-	}
-	return c
-}

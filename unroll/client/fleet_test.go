@@ -25,49 +25,6 @@ func predictServer(t *testing.T, factor int) (*httptest.Server, *atomic.Int64) {
 	return srv, &calls
 }
 
-// TestDeprecatedNewMatchesNewClient pins the compatibility contract of the
-// deprecated single-endpoint constructor: New(base) must behave exactly
-// like NewClient with one configured endpoint — same answers, same errors.
-func TestDeprecatedNewMatchesNewClient(t *testing.T) {
-	srv, _ := predictServer(t, 4)
-	old := New(srv.URL)
-	neu, err := NewClient(Config{Endpoints: []string{srv.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	a, errA := old.Predict(ctx, PredictRequest{Source: "k"})
-	b, errB := neu.Predict(ctx, PredictRequest{Source: "k"})
-	if errA != nil || errB != nil {
-		t.Fatalf("predict: %v / %v", errA, errB)
-	}
-	if *a != *b {
-		t.Fatalf("shim answer %+v differs from NewClient answer %+v", a, b)
-	}
-	if got, want := old.Endpoints(), neu.Endpoints(); len(got) != 1 || got[0] != want[0] {
-		t.Fatalf("endpoints %v vs %v", got, want)
-	}
-
-	// Errors must map identically too.
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusUnprocessableEntity)
-		json.NewEncoder(w).Encode(ErrorResponse{Error: "nope"})
-	}))
-	defer bad.Close()
-	oldErr := func() *APIError {
-		_, err := New(bad.URL).Predict(ctx, PredictRequest{Source: "k"})
-		return err.(*APIError)
-	}()
-	c2, _ := NewClient(Config{}, WithEndpoints(bad.URL))
-	newErr := func() *APIError {
-		_, err := c2.Predict(ctx, PredictRequest{Source: "k"})
-		return err.(*APIError)
-	}()
-	if oldErr.Status != newErr.Status || oldErr.Code != newErr.Code || oldErr.Message != newErr.Message {
-		t.Fatalf("shim error %+v differs from NewClient error %+v", oldErr, newErr)
-	}
-}
-
 func TestNewClientRequiresEndpoint(t *testing.T) {
 	if _, err := NewClient(Config{}); err == nil {
 		t.Fatal("NewClient with no endpoints must error")
@@ -100,7 +57,7 @@ func TestAPIErrorMapping(t *testing.T) {
 		json.NewEncoder(w).Encode(ErrorResponse{Error: "boom"})
 	}))
 	defer srv.Close()
-	c := New(srv.URL)
+	c := newTestClient(t, srv.URL)
 	ctx := context.Background()
 	for _, tc := range cases {
 		status.Store(int64(tc.status))

@@ -32,7 +32,7 @@ func TestRequestIDStableAcrossRetries(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := New(srv.URL, WithRetry(RetryPolicy{
+	c := newTestClient(t, srv.URL, WithRetry(RetryPolicy{
 		MaxAttempts: 4,
 		BaseDelay:   time.Millisecond,
 		MaxDelay:    2 * time.Millisecond,
@@ -88,7 +88,7 @@ func TestClientEndpointMetrics(t *testing.T) {
 		}
 	}))
 	defer srv.Close()
-	c := New(srv.URL)
+	c := newTestClient(t, srv.URL)
 	ctx := context.Background()
 
 	predictBefore := obs.C("client.predict.requests").Value()

@@ -9,17 +9,13 @@ import (
 	"metaopt/internal/ml/compiled"
 )
 
-// CompiledPredictor is a Predictor lowered into flat, serve-optimized form
-// by Compile: trees flatten into contiguous node arrays, the near-neighbor
-// database and SVM support vectors into dense tables with float32 mirrors.
+// CompiledPredictor is a Predictor lowered by Compile into the flat form
+// that answers batches: the near-neighbor database and SVM support vectors
+// become dense float32 tables, and trees run their own walk per query.
 //
-// The single-query Predict path evaluates the exact float64 arithmetic of
-// the interpreted classifier — answers are bit-identical — with zero
-// steady-state heap allocations. The batch paths run the float32 blocked
-// distance kernel across the whole batch at once; its rounding can differ
-// from the interpreted path near decision boundaries, which is why the
-// compiled fingerprint extends the source fingerprint with the lowering
-// version tag.
+// The batch paths run the float32 blocked distance kernel across the whole
+// batch at once; its rounding can differ from the Predictor's float64
+// arithmetic near decision boundaries. Single queries go to the Predictor.
 type CompiledPredictor struct {
 	src         *Predictor
 	prog        *compiled.Program
@@ -35,9 +31,8 @@ type compiledScratch struct {
 	out  []int       // batch decisions
 }
 
-// Compile lowers a trained predictor. It fails for classifier types with
-// no compiled lowering; callers keep serving the interpreted predictor in
-// that case.
+// Compile lowers a trained predictor. Every algorithm has a compiled form;
+// an error means the model itself is malformed.
 func Compile(p *Predictor) (*CompiledPredictor, error) {
 	if p == nil {
 		return nil, fmt.Errorf("unroll: compile: nil predictor")
@@ -53,19 +48,13 @@ func Compile(p *Predictor) (*CompiledPredictor, error) {
 	}, nil
 }
 
-// Source returns the interpreted predictor this was compiled from.
-func (c *CompiledPredictor) Source() *Predictor { return c.src }
-
 // Fingerprint extends the source predictor's fingerprint with the lowering
-// version tag, so any evaluation-path divergence (the float32 batch
-// rounding) is visible in cache keys and serving metadata.
+// version tag, so the float32 batch rounding is visible in serving
+// metadata.
 func (c *CompiledPredictor) Fingerprint() string { return c.fingerprint }
 
 // Version names the lowering and its rounding policy (e.g. "nn/v1+f32b").
 func (c *CompiledPredictor) Version() string { return c.prog.Version() }
-
-// Algorithm reports the source predictor's algorithm tag.
-func (c *CompiledPredictor) Algorithm() Algorithm { return c.src.Algorithm() }
 
 func (c *CompiledPredictor) getScratch() *compiledScratch {
 	sc, _ := c.pool.Get().(*compiledScratch)
@@ -79,7 +68,13 @@ func (c *CompiledPredictor) getScratch() *compiledScratch {
 // using pooled scratch; already-projected vectors pass through.
 func (c *CompiledPredictor) project(v []float64, sc *compiledScratch) ([]float64, error) {
 	feats := c.src.feats
-	if feats == nil || len(v) == len(feats) {
+	if feats == nil {
+		if len(v) != NumFeatures {
+			return nil, fmt.Errorf("unroll: feature vector has %d elements, want %d", len(v), NumFeatures)
+		}
+		return v, nil
+	}
+	if len(v) == len(feats) {
 		return v, nil
 	}
 	if len(v) != NumFeatures {
@@ -93,57 +88,6 @@ func (c *CompiledPredictor) project(v []float64, sc *compiledScratch) ([]float64
 		out[k] = v[j]
 	}
 	return out, nil
-}
-
-// Predict is the zero-allocation hot path: it evaluates a feature vector
-// (either the predictor's projected length or the full NumFeatures) on the
-// exact compiled program and clamps the answer to [1,MaxFactor]. The
-// vector must be finite and correctly sized — this is the trusted inner
-// loop; PredictFeatures is the checked boundary.
-func (c *CompiledPredictor) Predict(v []float64) int {
-	sc := c.getScratch()
-	q, err := c.project(v, sc)
-	if err != nil {
-		c.pool.Put(sc)
-		return 1
-	}
-	u := clampFactor(c.prog.Predict(q))
-	c.pool.Put(sc)
-	return u
-}
-
-// PredictFeatures mirrors Predictor.PredictFeatures on the compiled exact
-// path: non-finite values are rejected at the boundary, and the answer is
-// bit-identical to the interpreted predictor's.
-func (c *CompiledPredictor) PredictFeatures(v []float64) (int, error) {
-	for i, f := range v {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			nonFiniteRejects.Inc()
-			return 0, fmt.Errorf("unroll: feature %d is not finite (%v)", i, f)
-		}
-	}
-	sc := c.getScratch()
-	q, err := c.project(v, sc)
-	if err != nil {
-		c.pool.Put(sc)
-		return 0, err
-	}
-	u := clampFactor(c.prog.Predict(q))
-	c.pool.Put(sc)
-	return u, nil
-}
-
-// PredictCtx predicts one loop on the compiled exact path, with the same
-// validation and failure reporting as Predictor.PredictCtx.
-func (c *CompiledPredictor) PredictCtx(ctx context.Context, l *Loop) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	v, err := c.src.featuresOf(l)
-	if err != nil {
-		return 0, err
-	}
-	return clampFactor(c.prog.Predict(v)), nil
 }
 
 // PredictBatch predicts every loop through the compiled batch path and
@@ -180,7 +124,8 @@ func (c *CompiledPredictor) PredictBatchInto(ctx context.Context, loops []*Loop,
 
 // PredictFeaturesBatch runs pre-extracted feature vectors through the
 // compiled batch path, writing clamped factors into out (grown when too
-// small) and returning it. Vectors follow the PredictFeatures contract.
+// small) and returning it. Vectors follow the Predictor.PredictFeatures
+// contract: finite, and either NumFeatures long or already projected.
 func (c *CompiledPredictor) PredictFeaturesBatch(vs [][]float64, out []int) ([]int, error) {
 	if cap(out) < len(vs) {
 		out = make([]int, len(vs))

@@ -11,16 +11,14 @@ import (
 
 var fuzzOnce struct {
 	sync.Once
-	pairs map[unroll.Algorithm]fuzzPair
+	comps map[unroll.Algorithm]*unroll.CompiledPredictor
+	fill  [][]float64 // corpus feature vectors the fuzzed one is batched among
 	err   error
 }
 
-type fuzzPair struct {
-	p *unroll.Predictor
-	c *unroll.CompiledPredictor
-}
-
-func fuzzPredictors(f *testing.F) map[unroll.Algorithm]fuzzPair {
+// fuzzCompiled compiles one predictor per algorithm and collects the
+// corpus feature vectors that surround a fuzzed vector inside a batch.
+func fuzzCompiled(f *testing.F) (map[unroll.Algorithm]*unroll.CompiledPredictor, [][]float64) {
 	f.Helper()
 	fuzzOnce.Do(func() {
 		c, err := unroll.GenerateCorpus(5, 0.08)
@@ -33,40 +31,53 @@ func fuzzPredictors(f *testing.F) map[unroll.Algorithm]fuzzPair {
 			fuzzOnce.err = err
 			return
 		}
-		fuzzOnce.pairs = make(map[unroll.Algorithm]fuzzPair)
+		fuzzOnce.comps = make(map[unroll.Algorithm]*unroll.CompiledPredictor)
 		for _, alg := range allAlgorithms {
 			p, err := unroll.Train(d, unroll.TrainOptions{Algorithm: alg})
 			if err != nil {
 				fuzzOnce.err = err
 				return
 			}
-			cp, err := unroll.Compile(p)
-			if err != nil {
+			if fuzzOnce.comps[alg], err = unroll.Compile(p); err != nil {
 				fuzzOnce.err = err
 				return
 			}
-			fuzzOnce.pairs[alg] = fuzzPair{p: p, c: cp}
+		}
+		m := unroll.Itanium2()
+		for _, b := range c.Benchmarks {
+			for _, l := range b.Loops {
+				if len(fuzzOnce.fill) < maxFuzzBatch {
+					fuzzOnce.fill = append(fuzzOnce.fill, unroll.Features(l, m))
+				}
+			}
 		}
 	})
 	if fuzzOnce.err != nil {
 		f.Fatal(fuzzOnce.err)
 	}
-	return fuzzOnce.pairs
+	return fuzzOnce.comps, fuzzOnce.fill
 }
 
-// FuzzCompiledMatchesInterpreted hammers the compiled exact path with
-// arbitrary finite feature vectors (full-length, decoded from raw bytes)
-// and requires bit-identical agreement with the interpreted predictor for
-// every algorithm. Non-finite values must be rejected by both boundaries.
-func FuzzCompiledMatchesInterpreted(f *testing.F) {
-	pairs := fuzzPredictors(f)
+// maxFuzzBatch is one more than serve's default micro-batch, so batches
+// span several four-query blocks of the distance kernel plus its tail.
+const maxFuzzBatch = 33
+
+// FuzzBatchPositionInvariant checks the property serve's merged
+// micro-batches rely on: the factor PredictFeaturesBatch gives a vector
+// does not depend on the batch around it. For every algorithm an arbitrary
+// full-length vector is predicted alone and at a fuzzed position inside a
+// fuzzed-size batch of corpus vectors, and the two factors must agree. A
+// vector carrying NaN or ±Inf must be rejected both ways.
+func FuzzBatchPositionInvariant(f *testing.F) {
+	comps, fill := fuzzCompiled(f)
 	seed := make([]byte, 8*unroll.NumFeatures)
-	f.Add(seed)
+	f.Add(seed, uint8(0), uint8(0))
+	seed = append([]byte(nil), seed...)
 	for i := range seed {
 		seed[i] = byte(i * 37)
 	}
-	f.Add(seed)
-	f.Fuzz(func(t *testing.T, raw []byte) {
+	f.Add(seed, uint8(6), uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, size, pos uint8) {
 		if len(raw) < 8*unroll.NumFeatures {
 			t.Skip()
 		}
@@ -78,23 +89,27 @@ func FuzzCompiledMatchesInterpreted(f *testing.F) {
 				finite = false
 			}
 		}
-		for alg, pr := range pairs {
-			want, errI := pr.p.PredictFeatures(v)
-			got, errC := pr.c.PredictFeatures(v)
-			if (errI == nil) != (errC == nil) {
-				t.Fatalf("%s: interpreted err=%v, compiled err=%v", alg, errI, errC)
-			}
-			if errI != nil {
-				if finite {
-					t.Fatalf("%s: finite vector rejected: %v", alg, errI)
+		n := 1 + int(size)%maxFuzzBatch
+		at := int(pos) % n
+		batch := make([][]float64, n)
+		for i := range batch {
+			batch[i] = fill[i%len(fill)]
+		}
+		batch[at] = v
+		for alg, c := range comps {
+			alone, errAlone := c.PredictFeaturesBatch([][]float64{v}, nil)
+			within, errWithin := c.PredictFeaturesBatch(batch, nil)
+			if !finite {
+				if errAlone == nil || errWithin == nil {
+					t.Fatalf("%s: non-finite vector accepted (alone err=%v, in batch err=%v)", alg, errAlone, errWithin)
 				}
 				continue
 			}
-			if !finite {
-				t.Fatalf("%s: non-finite vector accepted", alg)
+			if errAlone != nil || errWithin != nil {
+				t.Fatalf("%s: finite vector rejected (alone err=%v, in batch err=%v)", alg, errAlone, errWithin)
 			}
-			if got != want {
-				t.Fatalf("%s: compiled = %d, interpreted = %d for %v", alg, got, want, v)
+			if alone[0] != within[at] {
+				t.Fatalf("%s: factor %d alone, %d at position %d of %d", alg, alone[0], within[at], at, n)
 			}
 		}
 	})

@@ -93,9 +93,9 @@ kernel scale lang=c {
 // Serving-style usage: train once, compile the predictor into its flat
 // serve-time form, and answer many loops per call through the batched
 // distance path. The compiled fingerprint extends the model fingerprint
-// with the lowering version, and compiled answers match the interpreted
+// with the lowering version, and the batch answers match the trained
 // predictor's.
-func ExamplePredictor_PredictBatch() {
+func ExampleCompiledPredictor_PredictBatch() {
 	pred, err := unroll.Train(exampleDataset(), unroll.TrainOptions{Algorithm: unroll.NearNeighbor})
 	if err != nil {
 		panic(err)
@@ -122,12 +122,12 @@ kernel dot lang=fortran { double a[], b[]; double s; for i = 0 .. 1024 { s = s +
 		}
 		agree = agree && u == factors[i]
 	}
-	fmt.Printf("compiled %s predictor (version %s)\n", comp.Algorithm(), comp.Version())
-	fmt.Printf("%d loops -> %d factors, matching the interpreted model: %v\n",
+	fmt.Printf("compiled %s predictor (version %s)\n", pred.Algorithm(), comp.Version())
+	fmt.Printf("%d loops -> %d factors, matching the trained model: %v\n",
 		len(loops), len(factors), agree)
 	// Output:
 	// compiled nn predictor (version nn/v1+f32b)
-	// 2 loops -> 2 factors, matching the interpreted model: true
+	// 2 loops -> 2 factors, matching the trained model: true
 }
 
 // Artifacts carry a format version and a content fingerprint: both

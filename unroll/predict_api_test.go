@@ -50,8 +50,12 @@ func TestPredictBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := unroll.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	qs := queryLoops(t)
-	got, err := p.PredictBatch(context.Background(), qs)
+	got, err := c.PredictBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +68,7 @@ func TestPredictBatch(t *testing.T) {
 		}
 	}
 	// A nil loop aborts the batch with a located error.
-	if _, err := p.PredictBatch(context.Background(), []*unroll.Loop{qs[0], nil}); err == nil {
+	if _, err := c.PredictBatch(context.Background(), []*unroll.Loop{qs[0], nil}); err == nil {
 		t.Error("expected error for batch with nil loop")
 	} else if !strings.Contains(err.Error(), "loop 1 of 2") {
 		t.Errorf("batch error not located: %v", err)
@@ -72,7 +76,7 @@ func TestPredictBatch(t *testing.T) {
 	// A canceled context aborts the batch.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.PredictBatch(ctx, qs); err == nil {
+	if _, err := c.PredictBatch(ctx, qs); err == nil {
 		t.Error("expected context error")
 	}
 }

@@ -231,22 +231,6 @@ func (p *Predictor) PredictCtx(ctx context.Context, l *Loop) (int, error) {
 	return p.predictVector(v), nil
 }
 
-// PredictBatch predicts the unroll factor of every loop in order. The
-// context is checked between loops, so a deadline or cancellation aborts
-// the remainder of a large batch promptly. Any failure aborts the whole
-// batch; callers who need per-loop errors call PredictCtx per loop.
-func (p *Predictor) PredictBatch(ctx context.Context, loops []*Loop) ([]int, error) {
-	out := make([]int, len(loops))
-	for i, l := range loops {
-		u, err := p.PredictCtx(ctx, l)
-		if err != nil {
-			return nil, fmt.Errorf("unroll: batch loop %d of %d: %w", i, len(loops), err)
-		}
-		out[i] = u
-	}
-	return out, nil
-}
-
 // PredictFeatures predicts from a pre-extracted feature vector: either the
 // full NumFeatures-element vector (projected onto the predictor's subset)
 // or a vector already projected to the subset's length. Non-finite values
@@ -305,14 +289,7 @@ func (p *Predictor) featuresOf(l *Loop) ([]float64, error) {
 
 // predictVector runs the classifier and clamps its answer to [1,MaxFactor].
 func (p *Predictor) predictVector(v []float64) int {
-	u := p.c.Predict(v)
-	if u < 1 {
-		u = 1
-	}
-	if u > MaxFactor {
-		u = MaxFactor
-	}
-	return u
+	return clampFactor(p.c.Predict(v))
 }
 
 // Confidence reports the voting-neighborhood evidence behind a prediction
