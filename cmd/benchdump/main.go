@@ -173,9 +173,7 @@ collect:
 	if err := pd.SaveColumnar(colPath, "benchdump fixture"); err != nil {
 		return nil, cleanup, err
 	}
-	if sel.UsableCols() == nil {
-		sel.BuildColumns()
-	}
+	sel.BuildColumns()
 
 	return []struct {
 		name string

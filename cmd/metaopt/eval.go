@@ -14,7 +14,7 @@ func cmdEval(args []string) error {
 	alg := fs.String("alg", "svm", "algorithm: nn, svm, svm-ecoc, smo, regress, tree, boosted-tree")
 	seed := fs.Int64("seed", 1, "seed for corpus generation and selection")
 	selectFeats := fs.Bool("select", true, "run feature selection before evaluating")
-	outOfCore := fs.Bool("outofcore", false, "mmap a columnar -data file and cross-validate without materializing feature rows (nn or svm, needs -select=false)")
+	outOfCore := fs.Bool("outofcore", false, "mmap a columnar -data file and cross-validate without materializing feature rows (nn, svm, svm-ecoc or regress; needs -select=false)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

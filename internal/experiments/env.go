@@ -129,8 +129,9 @@ func (e *Env) Dataset(swpOn bool) (*ml.Dataset, error) {
 			sp.End()
 			return nil, fmt.Errorf("experiments: dataset: %w", err)
 		}
-		// Attach the column-major view so every LOOCV and greedy-selection
-		// pass in the experiment suite runs the columnar fast path.
+		// Attach the column-major view once, so every LOOCV and
+		// greedy-selection pass in the experiment suite, and every subset
+		// Select projects from it, reads it instead of copying the rows.
 		d.BuildColumns()
 		sp.End()
 		*cached = d

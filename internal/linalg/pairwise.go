@@ -1,62 +1,58 @@
 package linalg
 
-// pairTile is the blocking factor for the pairwise kernels: a tile of rows
-// (tile × dim floats) stays resident in L1 while it is paired against each
-// row of the opposite tile.
+// pairTile is the blocking factor for the pairwise kernels: one tile of
+// pairTile×pairTile partial sums stays resident in L1 while every feature
+// column adds its contribution.
 const pairTile = 32
 
-// PairwiseSqDistInto fills out with the n×n matrix of squared Euclidean
-// distances between all row pairs, computed in cache-friendly tiles, and
-// returns it (out is grown when too small). Each entry is accumulated
-// exactly like SqDist — same feature order, one running sum — so callers
-// replacing per-pair SqDist calls with matrix lookups see identical bits;
-// the mirrored lower triangle is exact because (a−b)² and (b−a)² are the
-// same float.
-func PairwiseSqDistInto(rows [][]float64, out []float64) []float64 {
-	n := len(rows)
-	if cap(out) < n*n {
-		out = make([]float64, n*n)
-	} else {
-		out = out[:n*n]
-	}
-	for ib := 0; ib < n; ib += pairTile {
-		ie := min(ib+pairTile, n)
-		for jb := ib; jb < n; jb += pairTile {
-			je := min(jb+pairTile, n)
-			for i := ib; i < ie; i++ {
-				ri := rows[i]
-				js := jb
-				if i >= js {
-					out[i*n+i] = 0
-					js = i + 1
-				}
-				for j := js; j < je; j++ {
-					d := SqDist(ri, rows[j])
-					out[i*n+j] = d
-					out[j*n+i] = d
-				}
-			}
-		}
-	}
-	return out
-}
-
-// PairwiseSqDistColsInto fills out with the n×n squared-distance matrix of
-// the dataset whose features are the given columns (cols[j][i] = feature j of
-// example i), and returns it (out is grown when too small). The matrix is
-// zeroed and then built one AddSqColumn per feature, in column order — the
-// identical left-to-right float addition sequence SqDist performs over a
-// concatenated row, so the result is bit-identical to PairwiseSqDistInto on
-// the equivalent rows while reading memory as dim sequential column scans.
+// PairwiseSqDistColsInto fills out with the n×n matrix of squared Euclidean
+// distances between the examples whose features are the given columns
+// (cols[f][i] = feature f of example i), and returns it (out is grown when
+// too small). It walks the upper triangle in pairTile×pairTile tiles. In a
+// tile each entry starts at zero and adds (cᵢ−cⱼ)² one feature at a time in
+// column order — the additions SqDist makes over the two examples' rows —
+// so every entry equals SqDist of the equivalent rows bit for bit. The
+// mirrored lower triangle is exact because (a−b)² and (b−a)² are the same
+// float, and the diagonal is zero.
 func PairwiseSqDistColsInto(cols [][]float64, n int, out []float64) []float64 {
 	if cap(out) < n*n {
 		out = make([]float64, n*n)
 	} else {
 		out = out[:n*n]
 	}
-	clear(out)
-	for _, col := range cols {
-		AddSqColumn(out, col)
+	var acc [pairTile * pairTile]float64
+	for ib := 0; ib < n; ib += pairTile {
+		ie := min(ib+pairTile, n)
+		for jb := ib; jb < n; jb += pairTile {
+			je := min(jb+pairTile, n)
+			w := je - jb
+			tile := acc[:(ie-ib)*w]
+			clear(tile)
+			for _, col := range cols {
+				cj := col[jb:je]
+				for i := ib; i < ie; i++ {
+					ci := col[i]
+					row := tile[(i-ib)*w : (i-ib+1)*w]
+					for j, v := range cj {
+						d := ci - v
+						row[j] += d * d
+					}
+				}
+			}
+			for i := ib; i < ie; i++ {
+				js := jb
+				if i >= js {
+					out[i*n+i] = 0
+					js = i + 1
+				}
+				row := tile[(i-ib)*w : (i-ib+1)*w]
+				for j := js; j < je; j++ {
+					d := row[j-jb]
+					out[i*n+j] = d
+					out[j*n+i] = d
+				}
+			}
+		}
 	}
 	return out
 }

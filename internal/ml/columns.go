@@ -30,9 +30,9 @@ type Columns struct {
 
 // ColChunk is one contiguous run of rows.
 type ColChunk struct {
-	Start int           // global row index of the chunk's first row
-	Rows  int           // rows in this chunk
-	Feats [][]float64   // Feats[j] is feature j's column, len Rows
+	Start int         // global row index of the chunk's first row
+	Rows  int         // rows in this chunk
+	Feats [][]float64 // Feats[j] is feature j's column, len Rows
 }
 
 // NewColumns assembles a backing from sealed chunks. Labels must have
@@ -108,21 +108,20 @@ func (c *Columns) Project(idx []int) *Columns {
 	return &Columns{N: c.N, Dim: len(idx), Labels: c.Labels, chunks: chunks}
 }
 
-// BuildColumns materializes a single-chunk column backing from the dataset's
-// rows and attaches it, so the columnar kernels (normalization fitting,
-// pairwise distance construction, blocked LOOCV) apply to row-collected
-// datasets too. It is a no-op when a backing of the right shape is already
-// attached. The values are exact copies, so every downstream computation is
-// bit-identical to the row path.
-func (d *Dataset) BuildColumns() *Columns {
-	n := d.Len()
-	if d.Cols != nil && d.Cols.N == n {
-		return d.Cols
+// Columns returns the dataset's features column-major: the attached
+// backing when UsableCols accepts it, otherwise a one-chunk backing copied
+// from the rows. A copied backing is not attached, so a dataset that
+// goroutines share is never written. Every near-neighbor and kernel-machine
+// computation reads features through it. It returns nil for an empty
+// dataset.
+func (d *Dataset) Columns() *Columns {
+	if cols := d.UsableCols(); cols != nil {
+		return cols
 	}
+	n, dim := d.Len(), d.Dim()
 	if n == 0 {
 		return nil
 	}
-	dim := len(d.Examples[0].Features)
 	slab := make([]float64, n*dim)
 	feats := make([][]float64, dim)
 	for j := range feats {
@@ -136,9 +135,17 @@ func (d *Dataset) BuildColumns() *Columns {
 			feats[j][i] = v
 		}
 	}
-	d.Cols = &Columns{
+	return &Columns{
 		N: n, Dim: dim, Labels: labels,
 		chunks: []ColChunk{{Start: 0, Rows: n, Feats: feats}},
+	}
+}
+
+// BuildColumns attaches what Columns returns, so later passes over the
+// dataset reuse one column copy. It leaves a usable backing in place.
+func (d *Dataset) BuildColumns() *Columns {
+	if d.UsableCols() == nil {
+		d.Cols = d.Columns()
 	}
 	return d.Cols
 }
@@ -170,9 +177,9 @@ func (n *Norm) ApplyColumnRange(cols *Columns, j, lo, hi int, dst []float64) []f
 }
 
 // UsableCols returns the dataset's column backing when it is consistent
-// with the dataset's row count, nil otherwise. Call sites that take the
-// columnar fast path must gate on this, never on Cols directly: a stale
-// backing left by buffer reuse would silently serve wrong values.
+// with the dataset's shape, nil otherwise. Readers of a backing gate on
+// this (Columns does), never on Cols directly: a stale backing left by
+// buffer reuse would silently serve wrong values.
 func (d *Dataset) UsableCols() *Columns {
 	if d.Cols != nil && d.Cols.N == d.Len() && d.Cols.Dim == d.Dim() {
 		return d.Cols
@@ -190,6 +197,18 @@ func (d *Dataset) Dim() int {
 		return d.Cols.Dim
 	}
 	return 0
+}
+
+// ValidateRows is Validate for consumers of feature rows — every trainer's
+// Train, the tree fold session — and refuses a column-only dataset.
+func (d *Dataset) ValidateRows() error {
+	if err := d.Validate(); err != nil {
+		return err
+	}
+	if !d.HasRows() {
+		return fmt.Errorf("ml: training needs materialized feature rows; column-only datasets support NN and kernel-machine LOOCV and NN selection")
+	}
+	return nil
 }
 
 // HasRows reports whether per-example feature rows are materialized.

@@ -67,7 +67,7 @@ type Program struct {
 	norms32 []float32
 
 	// Near-neighbor.
-	labels []int32
+	labels []int
 	radius float64
 	oneNN  bool
 
@@ -143,7 +143,7 @@ func (p *Program) PredictBatch(qs [][]float64, out []int) []int {
 	switch p.kind {
 	case kindNN:
 		for i := 0; i < m; i++ {
-			out[i] = p.nnPredictRow32(sc.d2[i*p.n : (i+1)*p.n])
+			out[i] = ml.VoteRow(sc.d2[i*p.n:(i+1)*p.n], p.labels, -1, p.radius, p.oneNN)
 		}
 	case kindKernel:
 		sc.k32 = growF32(sc.k32, p.n)
@@ -155,14 +155,14 @@ func (p *Program) PredictBatch(qs [][]float64, out []int) []int {
 			for b := 0; b < p.bits; b++ {
 				scores[b] = float64(sc.s32[b]) + p.bias[b]
 			}
-			out[i] = decode(p.codes, scores)
+			out[i] = ml.NearestCodeword(p.codes, scores)
 		}
 	case kindRegress:
 		sc.k32 = growF32(sc.k32, p.n)
 		for i := 0; i < m; i++ {
 			p.kernelRow32(sc.q32[i*p.dim:(i+1)*p.dim], sc.d2, i, sc.k32)
 			s := float64(linalg.DotF32(p.alpha32, sc.k32)) + p.bias[0]
-			out[i] = clampRound(s)
+			out[i] = ml.RoundLabel(s)
 		}
 	}
 	p.scratch.Put(sc)
@@ -174,72 +174,6 @@ func growF32(b []float32, n int) []float32 {
 		return make([]float32, n)
 	}
 	return b[:n]
-}
-
-// --- Near-neighbor -------------------------------------------------------
-
-// nnPredictRow32 mirrors nn.Classifier's radius vote over a precomputed
-// float32 distance row: same tie-break on the closer exemplar, same
-// single-nearest fallback when the neighborhood is empty.
-func (p *Program) nnPredictRow32(d2s []float32) int {
-	if p.oneNN {
-		return int(p.labels[nearestRow32(d2s)])
-	}
-	r2 := float32(p.radius * p.radius)
-	var votes [ml.NumClasses + 1]int
-	var bestInClass [ml.NumClasses + 1]float32
-	inf := float32(math.Inf(1))
-	for i := range bestInClass {
-		bestInClass[i] = inf
-	}
-	found := 0
-	for i, d2 := range d2s {
-		if d2 > r2 {
-			continue
-		}
-		found++
-		lab := p.labels[i]
-		votes[lab]++
-		if d2 < bestInClass[lab] {
-			bestInClass[lab] = d2
-		}
-	}
-	if found == 0 {
-		return int(p.labels[nearestRow32(d2s)])
-	}
-	return voteArgmax(&votes, &bestInClass)
-}
-
-func nearestRow32(d2s []float32) int {
-	best, bestD := -1, float32(math.Inf(1))
-	for i, d := range d2s {
-		if d < bestD {
-			best, bestD = i, d
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
-}
-
-// voteArgmax picks the most-voted label with the classifier's exact rule:
-// strictly more votes wins, equal votes go to the class whose best
-// exemplar is nearer.
-func voteArgmax(votes *[ml.NumClasses + 1]int, bestInClass *[ml.NumClasses + 1]float32) int {
-	best := 0
-	for label := 1; label <= ml.NumClasses; label++ {
-		if votes[label] == 0 {
-			continue
-		}
-		switch {
-		case best == 0, votes[label] > votes[best]:
-			best = label
-		case votes[label] == votes[best] && bestInClass[label] < bestInClass[best]:
-			best = label
-		}
-	}
-	return best
 }
 
 // --- Kernel machines -----------------------------------------------------
@@ -259,43 +193,6 @@ func (p *Program) kernelRow32(qi []float32, d2 []float32, i int, k []float32) {
 	for j := range k {
 		k[j] = linalg.DotF32(qi, p.table32[j*p.dim:(j+1)*p.dim])
 	}
-}
-
-// decode replicates svm.Codes.Decode: nearest codeword by Hamming distance
-// over the score signs, ties broken by total hinge loss.
-func decode(codes [][]int8, scores []float64) int {
-	best := 1
-	bestHam := math.MaxInt32
-	bestLoss := math.Inf(1)
-	for class := 1; class <= len(codes); class++ {
-		ham := 0
-		loss := 0.0
-		for b, want := range codes[class-1] {
-			s := scores[b]
-			if (s >= 0) != (want > 0) {
-				ham++
-			}
-			if m := 1 - float64(want)*s; m > 0 {
-				loss += m
-			}
-		}
-		if ham < bestHam || (ham == bestHam && loss < bestLoss) {
-			best, bestHam, bestLoss = class, ham, loss
-		}
-	}
-	return best
-}
-
-// clampRound replicates the regression rounding into the label range.
-func clampRound(v float64) int {
-	u := int(math.Round(v))
-	if u < 1 {
-		u = 1
-	}
-	if u > ml.NumClasses {
-		u = ml.NumClasses
-	}
-	return u
 }
 
 // --- Constructors --------------------------------------------------------
@@ -344,13 +241,12 @@ func NewNN(norm *ml.Norm, rows [][]float64, labels []int, radius float64, oneNN 
 		kind: kindNN, version: "nn/v1+f32b", norm: norm,
 		n: len(rows), dim: dim, table32: table32, norms32: norms32,
 		radius: radius, oneNN: oneNN,
-		labels: make([]int32, len(labels)),
+		labels: labels,
 	}
 	for i, l := range labels {
 		if l < 1 || l > ml.NumClasses {
 			return nil, fmt.Errorf("compiled: exemplar %d has label %d outside [1,%d]", i, l, ml.NumClasses)
 		}
-		p.labels[i] = int32(l)
 	}
 	p.initPool()
 	return p, nil

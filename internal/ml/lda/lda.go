@@ -29,7 +29,7 @@ func Project(d *ml.Dataset, out int) (*Projection, error) {
 	if out < 1 || out > dim {
 		return nil, fmt.Errorf("lda: %d output dims for %d features", out, dim)
 	}
-	norm := ml.FitNorm(d)
+	norm := ml.FitNorm(d.Columns())
 	rows := norm.ApplyAll(d)
 	n := len(rows)
 

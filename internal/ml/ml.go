@@ -38,11 +38,11 @@ type Dataset struct {
 
 	// Cols is an optional column-major backing (possibly aliasing a
 	// memory-mapped columnar store). When present and consistent with the
-	// examples, normalization fitting, pairwise-distance construction, and
-	// the NN/LS-SVM LOOCV paths read features as sequential column scans
-	// instead of per-row slice loads — with bit-identical results. In
-	// out-of-core datasets the examples carry only metadata (name, label,
-	// cycles) and Cols is the sole feature storage.
+	// examples, Columns returns it instead of copying the rows, so
+	// normalization fitting, pairwise distances and the NN/LS-SVM LOOCV
+	// paths read it directly. In out-of-core datasets the examples carry
+	// only metadata (name, label, cycles) and Cols is the sole feature
+	// storage.
 	Cols *Columns
 
 	// slab is the flat backing array behind projected feature rows
@@ -214,41 +214,13 @@ func squash(v float64) float64 {
 	return math.Log1p(v)
 }
 
-// FitNorm computes normalization statistics over a dataset. With a column
-// backing attached the per-feature sweeps read contiguous slabs; the scan
-// visits examples in the same order as the row loop and applies the same
-// squash/min/max operations, so the statistics are bit-identical.
-func FitNorm(d *Dataset) *Norm {
-	if d.Len() == 0 {
+// FitNorm computes normalization statistics over a dataset's columns
+// (Dataset.Columns): one contiguous sweep per feature, chunks in row order.
+// A nil backing (an empty dataset) gives an empty normalizer.
+func FitNorm(cols *Columns) *Norm {
+	if cols == nil {
 		return &Norm{}
 	}
-	if cols := d.UsableCols(); cols != nil {
-		return fitNormColumns(cols)
-	}
-	dim := len(d.Examples[0].Features)
-	n := &Norm{Min: make([]float64, dim), Scale: make([]float64, dim)}
-	for j := 0; j < dim; j++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, e := range d.Examples {
-			v := squash(e.Features[j])
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		n.Min[j] = lo
-		if hi > lo {
-			n.Scale[j] = 1 / (hi - lo)
-		}
-	}
-	return n
-}
-
-// fitNormColumns is FitNorm over a column backing: one contiguous sweep per
-// feature, chunks in row order.
-func fitNormColumns(cols *Columns) *Norm {
 	n := &Norm{Min: make([]float64, cols.Dim), Scale: make([]float64, cols.Dim)}
 	for j := 0; j < cols.Dim; j++ {
 		lo, hi := math.Inf(1), math.Inf(-1)

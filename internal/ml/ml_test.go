@@ -81,7 +81,7 @@ func TestWithout(t *testing.T) {
 
 func TestNormMapsToUnitRange(t *testing.T) {
 	d := mltest.Clusters(50, 4, 4, 0.3, 5)
-	n := ml.FitNorm(d)
+	n := ml.FitNorm(d.Columns())
 	rows := n.ApplyAll(d)
 	for _, r := range rows {
 		for j, v := range r {
@@ -97,7 +97,7 @@ func TestNormConstantFeature(t *testing.T) {
 		{Features: []float64{7, 1}, Label: 1},
 		{Features: []float64{7, 3}, Label: 2},
 	}}
-	n := ml.FitNorm(d)
+	n := ml.FitNorm(d.Columns())
 	v := n.Apply([]float64{7, 2})
 	if v[0] != 0 {
 		t.Errorf("constant feature normalized to %v", v[0])

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"metaopt/internal/linalg"
@@ -8,45 +9,71 @@ import (
 	"metaopt/internal/ml/mltest"
 )
 
-// TestLOOCVDenseMatchesDirect pins the blocked-distance-matrix LOOCV path
-// to the per-fold predict scan, in both voting modes.
+// oracleLOOCV is the reference the near-neighbor kernels are pinned to:
+// normalize the rows with statistics from the whole dataset, then classify
+// every example by a direct SqDist scan over the other rows, with the
+// paper's rule restated literally — a strict majority of the neighbors
+// within the radius, a tie to the class with the nearer exemplar, and the
+// first-index nearest neighbor for an empty radius and in 1-NN mode.
+func oracleLOOCV(d *ml.Dataset, radius float64, oneNN bool) []int {
+	norm := ml.FitNorm(d.Columns())
+	rows := norm.ApplyAll(d)
+	r2 := radius * radius
+	preds := make([]int, len(rows))
+	for i, q := range rows {
+		nearest, nearestD := -1, math.Inf(1)
+		var votes [ml.NumClasses + 1]int
+		var closest [ml.NumClasses + 1]float64
+		for c := range closest {
+			closest[c] = math.Inf(1)
+		}
+		found := 0
+		for j, row := range rows {
+			if j == i {
+				continue
+			}
+			d2 := linalg.SqDist(q, row)
+			if d2 < nearestD {
+				nearest, nearestD = j, d2
+			}
+			if d2 <= r2 {
+				found++
+				lab := d.Examples[j].Label
+				votes[lab]++
+				closest[lab] = math.Min(closest[lab], d2)
+			}
+		}
+		if oneNN || found == 0 {
+			preds[i] = d.Examples[nearest].Label
+			continue
+		}
+		best := 0
+		for lab := 1; lab <= ml.NumClasses; lab++ {
+			more := votes[lab] > votes[best]
+			tie := votes[lab] > 0 && votes[lab] == votes[best] && closest[lab] < closest[best]
+			if more || tie {
+				best = lab
+			}
+		}
+		preds[i] = best
+	}
+	return preds
+}
+
+// TestLOOCVDenseMatchesDirect pins the dense distance-matrix LOOCV to the
+// per-fold oracle scan, in both voting modes and with an empty-radius
+// fallback.
 func TestLOOCVDenseMatchesDirect(t *testing.T) {
 	d := mltest.Clusters(150, 5, 4, 0.25, 7)
-	for _, oneNN := range []bool{false, true} {
-		tr := &Trainer{OneNN: oneNN}
+	for _, tr := range []*Trainer{{}, {OneNN: true}, {Radius: 1e-9}} {
 		got, err := tr.LOOCV(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ci, err := tr.Train(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := ci.(*Classifier)
-		for i := range d.Examples {
-			if want := c.predict(c.rows[i], i); got[i] != want {
-				t.Fatalf("oneNN=%v fold %d: dense pred %d, direct %d", oneNN, i, got[i], want)
-			}
-		}
-	}
-}
-
-// TestPairwiseMatchesSqDist checks the blocked kernel entry-by-entry
-// against direct SqDist calls.
-func TestPairwiseMatchesSqDist(t *testing.T) {
-	d := mltest.Clusters(70, 6, 3, 0.3, 9)
-	tr := &Trainer{}
-	ci, err := tr.Train(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := ci.(*Classifier).rows
-	n := len(rows)
-	dist := linalg.PairwiseSqDistInto(rows, nil)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if want := linalg.SqDist(rows[i], rows[j]); dist[i*n+j] != want {
-				t.Fatalf("dist[%d][%d] = %v, SqDist = %v", i, j, dist[i*n+j], want)
+		want := oracleLOOCV(d, tr.radius(), tr.OneNN)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%+v fold %d: dense pred %d, oracle %d", *tr, i, got[i], want[i])
 			}
 		}
 	}

@@ -2,9 +2,7 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
-	"metaopt/internal/linalg"
 	"metaopt/internal/ml"
 )
 
@@ -18,73 +16,12 @@ var denseRowsCap = maxDenseRows
 // regardless of corpus size.
 const blockRows = 512
 
-// foldState accumulates one query's neighborhood across database blocks. It
-// carries exactly the state predict builds in its single scan: radius votes,
-// the closest exemplar per class, and the global nearest neighbor (strict <,
-// first index wins) for the low-confidence fallback and 1-NN mode.
-type foldState struct {
-	votes    [ml.NumClasses + 1]int
-	best     [ml.NumClasses + 1]float64
-	found    int
-	nearest  int
-	nearestD float64
-}
-
-func (st *foldState) reset() {
-	st.votes = [ml.NumClasses + 1]int{}
-	for i := range st.best {
-		st.best[i] = math.Inf(1)
-	}
-	st.found = 0
-	st.nearest = -1
-	st.nearestD = math.Inf(1)
-}
-
-// observe folds in one database row at global index gj with squared distance
-// d2 — the same updates predict makes per row, in the same row order.
-func (st *foldState) observe(gj int, d2, r2 float64, label int) {
-	if d2 < st.nearestD {
-		st.nearest, st.nearestD = gj, d2
-	}
-	if d2 > r2 {
-		return
-	}
-	st.found++
-	st.votes[label]++
-	if d2 < st.best[label] {
-		st.best[label] = d2
-	}
-}
-
-// finish resolves the prediction with predict's exact tie rules.
-func (st *foldState) finish(labels []int, oneNN bool) int {
-	if oneNN || st.found == 0 {
-		if st.nearest < 0 {
-			return labels[0]
-		}
-		return labels[st.nearest]
-	}
-	best := 0
-	for label := 1; label <= ml.NumClasses; label++ {
-		if st.votes[label] == 0 {
-			continue
-		}
-		switch {
-		case best == 0, st.votes[label] > st.votes[best]:
-			best = label
-		case st.votes[label] == st.votes[best] && st.best[label] < st.best[best]:
-			best = label
-		}
-	}
-	return best
-}
-
 // blockScratch is one worker's reusable buffers for the blocked kernel.
 type blockScratch struct {
 	qcols  [][]float64 // normalized query block, one column per feature
 	dcol   []float64   // normalized database block, one feature at a time
 	tile   []float64   // blockRows×blockRows partial squared distances
-	states []foldState
+	states []ml.Vote[float64]
 }
 
 func newBlockScratch(nfeats int) *blockScratch {
@@ -92,7 +29,7 @@ func newBlockScratch(nfeats int) *blockScratch {
 		qcols:  make([][]float64, nfeats),
 		dcol:   make([]float64, blockRows),
 		tile:   make([]float64, blockRows*blockRows),
-		states: make([]foldState, blockRows),
+		states: make([]ml.Vote[float64], blockRows),
 	}
 	for i := range sc.qcols {
 		sc.qcols[i] = make([]float64, blockRows)
@@ -106,24 +43,23 @@ func (sc *blockScratch) grow(nfeats int) {
 	}
 }
 
-// blockedLOOCV computes leave-one-out predictions for query rows [qlo, qhi)
-// against the whole column backing, streaming both sides block by block.
+// blockedLOOCV computes the leave-one-out prediction of every row against
+// the whole column backing, streaming both sides block by block.
 // feats gives the feature columns in accumulation order; the tile starts at
-// zero and adds one squared difference per feature, which is the identical
-// float addition sequence SqDist performs over a row — so every distance,
-// vote, and tie resolution matches the in-memory path bit for bit. Database
-// blocks advance in row order, preserving the first-index-wins nearest rule.
-func blockedLOOCV(cols *ml.Columns, norm *ml.Norm, feats []int, radius float64, oneNN bool, qlo, qhi int, sc *blockScratch, preds []int) {
+// zero and adds one squared difference per feature, which is the float
+// addition sequence SqDist performs over a row — so every distance equals
+// the dense path's entry and every vote matches it. Database blocks advance
+// in row order, preserving the vote's first-index-wins nearest rule.
+func blockedLOOCV(cols *ml.Columns, norm *ml.Norm, feats []int, radius float64, oneNN bool, sc *blockScratch, preds []int) {
 	n := cols.N
 	labels := cols.Labels
-	r2 := radius * radius
 	sc.grow(len(feats))
-	for qs := qlo; qs < qhi; qs += blockRows {
-		qe := min(qs+blockRows, qhi)
+	for qs := 0; qs < n; qs += blockRows {
+		qe := min(qs+blockRows, n)
 		qb := qe - qs
 		states := sc.states[:qb]
 		for i := range states {
-			states[i].reset()
+			states[i].Reset(radius, oneNN)
 		}
 		for fi, f := range feats {
 			norm.ApplyColumnRange(cols, f, qs, qe, sc.qcols[fi])
@@ -150,45 +86,15 @@ func blockedLOOCV(cols *ml.Columns, norm *ml.Norm, feats []int, radius float64, 
 				row := tile[qi*db : qi*db+db]
 				for j, d2 := range row {
 					if gj := ds + j; gj != gq {
-						st.observe(gj, d2, r2, labels[gj])
+						st.Observe(gj, labels[gj], d2)
 					}
 				}
 			}
 		}
 		for qi := range states {
-			preds[qs+qi-qlo] = states[qi].finish(labels, oneNN)
+			preds[qs+qi] = states[qi].Decide(labels)
 		}
 	}
-}
-
-// loocvColumnar is the LOOCV fast path for datasets with a column backing.
-// At dense sizes it materializes the pairwise matrix from normalized columns
-// (bit-identical to the row build — see linalg.PairwiseSqDistColsInto);
-// beyond denseRowsCap it streams the blocked kernel in bounded memory, which
-// is what lets a 10×–100× corpus cross-validate from an mmap'd file without
-// the n×n matrix or per-row heap copies.
-func (t *Trainer) loocvColumnar(d *ml.Dataset, cols *ml.Columns) ([]int, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	norm := ml.FitNorm(d)
-	n := cols.N
-	preds := make([]int, n)
-	feats := make([]int, cols.Dim)
-	for f := range feats {
-		feats[f] = f
-	}
-	if n <= denseRowsCap {
-		ncols := norm.ApplyColumns(cols)
-		dist := linalg.PairwiseSqDistColsInto(ncols, n, nil)
-		c := &Classifier{labels: cols.Labels, radius: t.radius(), oneNN: t.OneNN}
-		for i := range preds {
-			preds[i] = c.predictRow(dist[i*n:(i+1)*n], i)
-		}
-		return preds, nil
-	}
-	blockedLOOCV(cols, norm, feats, t.radius(), t.OneNN, 0, n, newBlockScratch(len(feats)), preds)
-	return preds, nil
 }
 
 // selectSessionLowMem scores greedy forward selection without the n×n
@@ -220,7 +126,7 @@ func (s *selectSessionLowMem) Score(worker int, chosen []int, cand int) (float64
 	feats := append(append(make([]int, 0, len(s.committed)+1), s.committed...), cand)
 	n := s.cols.N
 	preds := s.preds[worker]
-	blockedLOOCV(s.cols, s.norm, feats, s.radius, s.oneNN, 0, n, s.scratch[worker], preds)
+	blockedLOOCV(s.cols, s.norm, feats, s.radius, s.oneNN, s.scratch[worker], preds)
 	hit := 0
 	for i, p := range preds {
 		if p == s.cols.Labels[i] {

@@ -42,24 +42,22 @@ func liteCopy(t *testing.T, d *ml.Dataset, chunkRows int) *ml.Dataset {
 	return lite
 }
 
-// TestColumnarLOOCVMatchesRows pins the columnar LOOCV fast path — both on
-// a row dataset with an attached backing and on a column-only (out-of-core
-// style) dataset, single- and multi-chunk — to the row path, prediction by
+// TestColumnarLOOCVMatchesRows pins LOOCV on every dataset layout — rows
+// alone, rows with an attached backing, and a column-only (out-of-core
+// style) dataset in one chunk and in many — to the oracle, prediction by
 // prediction.
 func TestColumnarLOOCVMatchesRows(t *testing.T) {
 	d := mltest.Clusters(150, 5, 4, 0.25, 7)
 	for _, oneNN := range []bool{false, true} {
 		tr := &Trainer{OneNN: oneNN}
-		want, err := tr.LOOCV(d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleLOOCV(d, tr.radius(), oneNN)
 		backed := mltest.Clusters(150, 5, 4, 0.25, 7)
 		backed.BuildColumns()
 		if backed.UsableCols() == nil {
 			t.Fatal("BuildColumns did not attach a usable backing")
 		}
 		for name, ds := range map[string]*ml.Dataset{
+			"rows":             d,
 			"attached":         backed,
 			"lite one chunk":   liteCopy(t, d, 150),
 			"lite multi chunk": liteCopy(t, d, 33),
@@ -70,7 +68,7 @@ func TestColumnarLOOCVMatchesRows(t *testing.T) {
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("oneNN=%v %s fold %d: columnar %d, rows %d", oneNN, name, i, got[i], want[i])
+					t.Fatalf("oneNN=%v %s fold %d: LOOCV %d, oracle %d", oneNN, name, i, got[i], want[i])
 				}
 			}
 		}
@@ -78,19 +76,15 @@ func TestColumnarLOOCVMatchesRows(t *testing.T) {
 }
 
 // TestBlockedLOOCVMatchesDense forces the out-of-core blocked kernel at
-// small n and pins it to the dense columnar path and the row path.
+// small n and pins it to the oracle.
 func TestBlockedLOOCVMatchesDense(t *testing.T) {
 	d := mltest.Clusters(200, 6, 4, 0.3, 13)
 	defer func(old int) { denseRowsCap = old }(denseRowsCap)
-	for _, oneNN := range []bool{false, true} {
-		tr := &Trainer{OneNN: oneNN}
-		denseRowsCap = maxDenseRows
-		want, err := tr.LOOCV(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		denseRowsCap = 16 // every columnar dataset now takes the blocked path
+	denseRowsCap = 16 // every dataset now takes the blocked path
+	for _, tr := range []*Trainer{{}, {OneNN: true}, {Radius: 1e-9}} {
+		want := oracleLOOCV(d, tr.radius(), tr.OneNN)
 		for name, ds := range map[string]*ml.Dataset{
+			"rows":             d,
 			"lite one chunk":   liteCopy(t, d, 200),
 			"lite multi chunk": liteCopy(t, d, 47),
 		} {
@@ -100,16 +94,17 @@ func TestBlockedLOOCVMatchesDense(t *testing.T) {
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("oneNN=%v %s fold %d: blocked %d, dense %d", oneNN, name, i, got[i], want[i])
+					t.Fatalf("%+v %s fold %d: blocked %d, oracle %d", *tr, name, i, got[i], want[i])
 				}
 			}
 		}
 	}
 }
 
-// TestColumnarSelectMatchesRows drives three greedy rounds on the row
-// session, the dense columnar session, and the blocked low-memory session
-// in parallel, requiring identical scores (to the bit) and identical picks.
+// TestColumnarSelectMatchesRows drives three greedy rounds on the dense
+// session and the blocked low-memory session in parallel, requiring both
+// to score every candidate exactly (to the bit) as the oracle LOOCV of the
+// projected subset does, and so to pick the same features.
 func TestColumnarSelectMatchesRows(t *testing.T) {
 	d := mltest.Clusters(90, 6, 4, 0.3, 11)
 	dim := len(d.Examples[0].Features)
@@ -117,16 +112,12 @@ func TestColumnarSelectMatchesRows(t *testing.T) {
 	for _, oneNN := range []bool{false, true} {
 		tr := &Trainer{OneNN: oneNN}
 		denseRowsCap = maxDenseRows
-		rowSess, err := tr.BeginSelect(d, 1)
+		denseSess, err := tr.BeginSelect(liteCopy(t, d, 29), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		colSess, err := tr.BeginSelect(liteCopy(t, d, 29), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := colSess.(*selectSession); !ok {
-			t.Fatalf("columnar dense session is %T", colSess)
+		if _, ok := denseSess.(*selectSession); !ok {
+			t.Fatalf("dense session is %T", denseSess)
 		}
 		denseRowsCap = 16
 		lowSess, err := tr.BeginSelect(liteCopy(t, d, 29), 2)
@@ -147,21 +138,19 @@ func TestColumnarSelectMatchesRows(t *testing.T) {
 				if already {
 					continue
 				}
-				want, err := rowSess.Score(0, chosen, f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, err := colSess.Score(0, chosen, f); err != nil || got != want {
-					t.Fatalf("oneNN=%v round %d feature %d: dense columnar %v (%v), rows %v", oneNN, round, f, got, err, want)
+				sub := d.Select(append(append([]int{}, chosen...), f))
+				want := 1 - ml.Accuracy(sub, oracleLOOCV(sub, tr.radius(), oneNN))
+				if got, err := denseSess.Score(0, chosen, f); err != nil || got != want {
+					t.Fatalf("oneNN=%v round %d feature %d: dense %v (%v), oracle %v", oneNN, round, f, got, err, want)
 				}
 				if got, err := lowSess.Score(f%2, chosen, f); err != nil || got != want {
-					t.Fatalf("oneNN=%v round %d feature %d: blocked %v (%v), rows %v", oneNN, round, f, got, err, want)
+					t.Fatalf("oneNN=%v round %d feature %d: blocked %v (%v), oracle %v", oneNN, round, f, got, err, want)
 				}
 				if want < bestErr {
 					bestF, bestErr = f, want
 				}
 			}
-			for _, s := range []ml.SelectSession{rowSess, colSess, lowSess} {
+			for _, s := range []ml.SelectSession{denseSess, lowSess} {
 				if err := s.Commit(bestF); err != nil {
 					t.Fatal(err)
 				}

@@ -8,7 +8,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"metaopt/internal/linalg"
@@ -58,13 +57,10 @@ func (t *Trainer) radius() float64 {
 // Train populates the database. Near-neighbor "training" is just
 // normalization plus storage.
 func (t *Trainer) Train(d *ml.Dataset) (ml.Classifier, error) {
-	if err := d.Validate(); err != nil {
+	if err := d.ValidateRows(); err != nil {
 		return nil, err
 	}
-	if !d.HasRows() {
-		return nil, fmt.Errorf("nn: training a serving classifier needs materialized feature rows; column-only datasets support LOOCV and selection")
-	}
-	norm := ml.FitNorm(d)
+	norm := ml.FitNorm(d.Columns())
 	c := &Classifier{
 		norm:   norm,
 		rows:   norm.ApplyAll(d),
@@ -86,189 +82,62 @@ func (c *Classifier) Predict(features []float64) int {
 		bp = new([]float64)
 		*bp = make([]float64, len(features))
 	}
-	pred := c.predict(c.norm.ApplyInto(features, (*bp)[:cap(*bp)]), -1)
+	v := c.vote(c.norm.ApplyInto(features, (*bp)[:cap(*bp)]), c.oneNN)
 	c.qbuf.Put(bp)
-	return pred
-}
-
-// predict classifies a normalized query, optionally excluding one database
-// index (for leave-one-out).
-func (c *Classifier) predict(q []float64, exclude int) int {
-	if c.oneNN {
-		return c.labels[c.nearest(q, exclude)]
-	}
-	r2 := c.radius * c.radius
-	var votes [ml.NumClasses + 1]int
-	var bestInClass [ml.NumClasses + 1]float64
-	for i := range bestInClass {
-		bestInClass[i] = math.Inf(1)
-	}
-	found := 0
-	for i, row := range c.rows {
-		if i == exclude {
-			continue
-		}
-		d2 := linalg.SqDist(q, row)
-		if d2 > r2 {
-			continue
-		}
-		found++
-		votes[c.labels[i]]++
-		if d2 < bestInClass[c.labels[i]] {
-			bestInClass[c.labels[i]] = d2
-		}
-	}
-	if found == 0 {
-		// Low confidence: fall back to the single nearest example.
-		return c.labels[c.nearest(q, exclude)]
-	}
-	best := 0
-	for label := 1; label <= ml.NumClasses; label++ {
-		if votes[label] == 0 {
-			continue
-		}
-		switch {
-		case best == 0, votes[label] > votes[best]:
-			best = label
-		case votes[label] == votes[best] && bestInClass[label] < bestInClass[best]:
-			// Tie: prefer the class with the closer exemplar.
-			best = label
-		}
-	}
-	return best
+	return v.Decide(c.labels)
 }
 
 // Confidence reports the size of the voting neighborhood and the agreement
 // of its majority class for a query — the paper's outlier-detection signal.
 func (c *Classifier) Confidence(features []float64) (neighbors int, agreement float64) {
-	q := c.norm.Apply(features)
-	r2 := c.radius * c.radius
-	var votes [ml.NumClasses + 1]int
-	for i, row := range c.rows {
-		if linalg.SqDist(q, row) <= r2 {
-			neighbors++
-			votes[c.labels[i]]++
-		}
-	}
-	if neighbors == 0 {
-		return 0, 0
-	}
-	max := 0
-	for _, v := range votes {
-		if v > max {
-			max = v
-		}
-	}
-	return neighbors, float64(max) / float64(neighbors)
+	v := c.vote(c.norm.Apply(features), false)
+	return v.Support()
 }
 
-func (c *Classifier) nearest(q []float64, exclude int) int {
-	best, bestD := -1, math.Inf(1)
+// vote scans the database for a normalized query.
+func (c *Classifier) vote(q []float64, oneNN bool) ml.Vote[float64] {
+	var v ml.Vote[float64]
+	v.Reset(c.radius, oneNN)
 	for i, row := range c.rows {
-		if i == exclude {
-			continue
-		}
-		if d := linalg.SqDist(q, row); d < bestD {
-			best, bestD = i, d
-		}
+		v.Observe(i, c.labels[i], linalg.SqDist(q, row))
 	}
-	if best < 0 {
-		return 0
-	}
-	return best
+	return v
 }
 
-// maxDenseRows bounds the examples for which the LOOCV fast path
-// materializes the n×n distance matrix (4096² float64 = 128 MB).
+// maxDenseRows bounds the examples for which LOOCV materializes the n×n
+// distance matrix (4096² float64 = 128 MB).
 const maxDenseRows = 4096
-
-// predictRow is predict with the distances to the whole database already
-// computed (one row of the pairwise matrix). Same neighbor scan, same tie
-// handling — the distance values are bit-identical, so so are the answers.
-func (c *Classifier) predictRow(d2s []float64, exclude int) int {
-	if c.oneNN {
-		return c.labels[nearestRow(d2s, exclude)]
-	}
-	r2 := c.radius * c.radius
-	var votes [ml.NumClasses + 1]int
-	var bestInClass [ml.NumClasses + 1]float64
-	for i := range bestInClass {
-		bestInClass[i] = math.Inf(1)
-	}
-	found := 0
-	for i, d2 := range d2s {
-		if i == exclude || d2 > r2 {
-			continue
-		}
-		found++
-		votes[c.labels[i]]++
-		if d2 < bestInClass[c.labels[i]] {
-			bestInClass[c.labels[i]] = d2
-		}
-	}
-	if found == 0 {
-		return c.labels[nearestRow(d2s, exclude)]
-	}
-	best := 0
-	for label := 1; label <= ml.NumClasses; label++ {
-		if votes[label] == 0 {
-			continue
-		}
-		switch {
-		case best == 0, votes[label] > votes[best]:
-			best = label
-		case votes[label] == votes[best] && bestInClass[label] < bestInClass[best]:
-			best = label
-		}
-	}
-	return best
-}
-
-func nearestRow(d2s []float64, exclude int) int {
-	best, bestD := -1, math.Inf(1)
-	for i, d := range d2s {
-		if i == exclude {
-			continue
-		}
-		if d < bestD {
-			best, bestD = i, d
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
-}
 
 // LOOCV classifies every example against the rest of the database. The
 // normalization statistics come from the full dataset, matching how the
-// paper's Matlab prototype normalized once before cross-validating. The
-// pairwise distances are materialized once in cache-friendly blocks, so
-// each of the n folds scans one precomputed row instead of re-walking the
-// n×dim feature matrix.
+// paper's Matlab prototype normalized once before cross-validating. Up to
+// denseRowsCap examples, the pairwise distances are materialized once from
+// the normalized columns, so each of the n folds votes over one precomputed
+// row. Beyond it the blocked kernel streams the columns in bounded memory,
+// which is what lets a 10×–100× corpus cross-validate from an mmap'd file
+// without the n×n matrix or per-row heap copies.
 func (t *Trainer) LOOCV(d *ml.Dataset) ([]int, error) {
 	if d.Len() < 2 {
 		return nil, fmt.Errorf("nn: LOOCV needs at least 2 examples")
 	}
-	if cols := d.UsableCols(); cols != nil {
-		return t.loocvColumnar(d, cols)
-	}
-	ci, err := t.Train(d)
-	if err != nil {
+	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	c := ci.(*Classifier)
-	n := d.Len()
+	cols := d.Columns()
+	norm := ml.FitNorm(cols)
+	n := cols.N
 	preds := make([]int, n)
 	if n <= denseRowsCap {
-		dist := linalg.PairwiseSqDistInto(c.rows, nil)
+		dist := linalg.PairwiseSqDistColsInto(norm.ApplyColumns(cols), n, nil)
 		for i := range preds {
-			preds[i] = c.predictRow(dist[i*n:(i+1)*n], i)
+			preds[i] = ml.VoteRow(dist[i*n:(i+1)*n], cols.Labels, i, t.radius(), t.OneNN)
 		}
 		return preds, nil
 	}
-	for i := range d.Examples {
-		preds[i] = c.predict(c.rows[i], i)
+	feats := make([]int, cols.Dim)
+	for f := range feats {
+		feats[f] = f
 	}
+	blockedLOOCV(cols, norm, feats, t.radius(), t.OneNN, newBlockScratch(len(feats)), preds)
 	return preds, nil
 }

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"metaopt/internal/linalg"
 	"metaopt/internal/ml"
@@ -30,7 +29,9 @@ type selectSession struct {
 	oneNN     bool
 }
 
-// BeginSelect implements ml.SelectScorer.
+// BeginSelect implements ml.SelectScorer. Up to denseRowsCap examples the
+// session keeps the n×n committed-distance matrix; past it, candidates are
+// scored with the blocked kernel instead.
 func (t *Trainer) BeginSelect(d *ml.Dataset, workers int) (ml.SelectSession, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -39,56 +40,27 @@ func (t *Trainer) BeginSelect(d *ml.Dataset, workers int) (ml.SelectSession, err
 	if n < 2 {
 		return nil, fmt.Errorf("nn: selection needs at least 2 examples")
 	}
-	if cols := d.UsableCols(); cols != nil {
-		// Columnar fast path: normalized columns come straight from the
-		// backing (same values ApplyInto would produce row by row). Past
-		// the dense cap, score with the blocked kernel instead of the
-		// n×n committed matrix.
-		norm := ml.FitNorm(d)
-		if n <= denseRowsCap {
-			return &selectSession{
-				n:      n,
-				cols:   norm.ApplyColumns(cols),
-				labels: cols.Labels,
-				dist:   make([]float64, n*n),
-				radius: t.radius(),
-				oneNN:  t.OneNN,
-			}, nil
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		s := &selectSessionLowMem{cols: cols, norm: norm, radius: t.radius(), oneNN: t.OneNN}
-		for w := 0; w < workers; w++ {
-			s.scratch = append(s.scratch, newBlockScratch(cols.Dim+1))
-			s.preds = append(s.preds, make([]int, n))
-		}
-		return s, nil
+	cols := d.Columns()
+	norm := ml.FitNorm(cols)
+	if n <= denseRowsCap {
+		return &selectSession{
+			n:      n,
+			cols:   norm.ApplyColumns(cols),
+			labels: cols.Labels,
+			dist:   make([]float64, n*n),
+			radius: t.radius(),
+			oneNN:  t.OneNN,
+		}, nil
 	}
-	dim := len(d.Examples[0].Features)
-	norm := ml.FitNorm(d)
-	slab := make([]float64, dim*n)
-	cols := make([][]float64, dim)
-	for f := range cols {
-		cols[f] = slab[f*n : (f+1)*n]
+	if workers < 1 {
+		workers = 1
 	}
-	row := make([]float64, dim)
-	labels := make([]int, n)
-	for i, e := range d.Examples {
-		norm.ApplyInto(e.Features, row)
-		for f, v := range row {
-			cols[f][i] = v
-		}
-		labels[i] = e.Label
+	s := &selectSessionLowMem{cols: cols, norm: norm, radius: t.radius(), oneNN: t.OneNN}
+	for w := 0; w < workers; w++ {
+		s.scratch = append(s.scratch, newBlockScratch(cols.Dim+1))
+		s.preds = append(s.preds, make([]int, n))
 	}
-	return &selectSession{
-		n:      n,
-		cols:   cols,
-		labels: labels,
-		dist:   make([]float64, n*n),
-		radius: t.radius(),
-		oneNN:  t.OneNN,
-	}, nil
+	return s, nil
 }
 
 // Score implements ml.SelectSession. Concurrent calls only read shared
@@ -113,67 +85,18 @@ func (s *selectSession) Score(_ int, chosen []int, cand int) (float64, error) {
 }
 
 // predictFold classifies example i against the rest of the dataset over the
-// committed features plus the candidate column, mirroring predict.
+// committed features plus the candidate column.
 func (s *selectSession) predictFold(i int, col []float64) int {
-	di := s.dist[i*s.n : (i+1)*s.n]
 	ci := col[i]
-	// Track the single nearest neighbor in the same scan (strict <, first
-	// index wins) — used directly in 1-NN mode and as the radius-voting
-	// fallback when the neighborhood is empty.
-	nearest, nearestD := -1, math.Inf(1)
-	if s.oneNN {
-		for j, base := range di {
-			if j == i {
-				continue
-			}
+	var v ml.Vote[float64]
+	v.Reset(s.radius, s.oneNN)
+	for j, base := range s.dist[i*s.n : (i+1)*s.n] {
+		if j != i {
 			dc := ci - col[j]
-			if d2 := base + dc*dc; d2 < nearestD {
-				nearest, nearestD = j, d2
-			}
-		}
-		return s.labels[nearest]
-	}
-	r2 := s.radius * s.radius
-	var votes [ml.NumClasses + 1]int
-	var bestInClass [ml.NumClasses + 1]float64
-	for k := range bestInClass {
-		bestInClass[k] = math.Inf(1)
-	}
-	found := 0
-	for j, base := range di {
-		if j == i {
-			continue
-		}
-		dc := ci - col[j]
-		d2 := base + dc*dc
-		if d2 < nearestD {
-			nearest, nearestD = j, d2
-		}
-		if d2 > r2 {
-			continue
-		}
-		found++
-		votes[s.labels[j]]++
-		if d2 < bestInClass[s.labels[j]] {
-			bestInClass[s.labels[j]] = d2
+			v.Observe(j, s.labels[j], base+dc*dc)
 		}
 	}
-	if found == 0 {
-		return s.labels[nearest]
-	}
-	best := 0
-	for label := 1; label <= ml.NumClasses; label++ {
-		if votes[label] == 0 {
-			continue
-		}
-		switch {
-		case best == 0, votes[label] > votes[best]:
-			best = label
-		case votes[label] == votes[best] && bestInClass[label] < bestInClass[best]:
-			best = label
-		}
-	}
-	return best
+	return v.Decide(s.labels)
 }
 
 // Commit implements ml.SelectSession: folds the round winner's

@@ -1,8 +1,9 @@
 package svm
 
 import (
-	"math"
 	"math/rand"
+
+	"metaopt/internal/ml"
 )
 
 // Codes is an output-code matrix for multi-class classification with binary
@@ -78,24 +79,14 @@ func Random(classes, bits int, seed int64) Codes {
 // closest in Hamming distance over the signs, breaking ties with the total
 // hinge loss (margin-aware), as error-correcting output-code decoders do.
 func (c Codes) Decode(scores []float64) int {
-	best := 1
-	bestHam := math.MaxInt32
-	bestLoss := math.Inf(1)
-	for class := 1; class <= c.NumClasses(); class++ {
-		ham := 0
-		loss := 0.0
-		for b, want := range c.Bits[class-1] {
-			s := scores[b]
-			if (s >= 0) != (want > 0) {
-				ham++
-			}
-			if m := 1 - float64(want)*s; m > 0 {
-				loss += m
-			}
-		}
-		if ham < bestHam || (ham == bestHam && loss < bestLoss) {
-			best, bestHam, bestLoss = class, ham, loss
-		}
+	return ml.NearestCodeword(c.Bits, scores)
+}
+
+// orOneVsRest returns c, or the one-vs-rest code over ml.NumClasses when c
+// is empty.
+func (c Codes) orOneVsRest() Codes {
+	if c.NumClasses() == 0 {
+		return OneVsRest(ml.NumClasses)
 	}
-	return best
+	return c
 }

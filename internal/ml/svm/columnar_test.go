@@ -41,11 +41,13 @@ func liteCopy(t *testing.T, d *ml.Dataset, chunkRows int) *ml.Dataset {
 	return lite
 }
 
-// TestLSSVMColumnarLOOCVMatchesRows pins the column-backed exact LOOCV —
-// pairwise distances accumulated per feature from normalized columns, no
-// materialized rows — to the row path, fold by fold.
+// TestLSSVMColumnarLOOCVMatchesRows pins the Gram matrix of every dataset
+// layout — rows with an attached backing, and a column-only dataset in one
+// chunk and in many — to per-pair RBF.Eval on the normalized rows, and the
+// exact LOOCV on each layout to the row dataset's, fold by fold.
 func TestLSSVMColumnarLOOCVMatchesRows(t *testing.T) {
 	d := mltest.Clusters(80, 5, 4, 0.3, 17)
+	rows := ml.FitNorm(d.Columns()).ApplyAll(d)
 	tr := &LSSVM{}
 	want, err := tr.LOOCV(d)
 	if err != nil {
@@ -58,6 +60,7 @@ func TestLSSVMColumnarLOOCVMatchesRows(t *testing.T) {
 		"lite one chunk":   liteCopy(t, d, 80),
 		"lite multi chunk": liteCopy(t, d, 19),
 	} {
+		requireGram(t, name, ds, 0, oracleMedianSigma(rows), rows)
 		got, err := tr.LOOCV(ds)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"metaopt/internal/linalg"
+	"metaopt/internal/ml"
 )
 
 // Kernel is a positive-definite similarity function.
@@ -34,39 +35,34 @@ type Linear struct{}
 // Eval implements Kernel.
 func (Linear) Eval(a, b []float64) float64 { return linalg.Dot(a, b) }
 
-// medianSigma estimates an RBF bandwidth as the median pairwise distance
-// over (a sample of) the rows — a standard heuristic when no bandwidth is
-// given.
-func medianSigma(rows [][]float64) float64 {
-	n := len(rows)
-	if n < 2 {
-		return 1
+// rbfGram fits the normalizer to d's columns (ml.Dataset.Columns) and
+// builds the RBF kernel and its Gram matrix Kᵢⱼ = exp(−‖xᵢ−xⱼ‖²/(2σ²)) from
+// the tiled pairwise squared distances of the normalized columns. sigma ≤ 0
+// selects the median-distance bandwidth. Every entry equals the kernel's
+// Eval on the two examples' normalized rows bit for bit: the distance is
+// SqDist's, and the divisor is Eval's expression.
+func rbfGram(d *ml.Dataset, sigma float64) (*ml.Norm, RBF, *linalg.Matrix) {
+	cols := d.Columns()
+	norm := ml.FitNorm(cols)
+	n := cols.N
+	dist := linalg.PairwiseSqDistColsInto(norm.ApplyColumns(cols), n, nil)
+	if sigma <= 0 {
+		sigma = medianSigmaDist(dist, n)
 	}
-	step := 1
-	const sampleRows = 150
-	if n > sampleRows {
-		step = n / sampleRows
-	}
-	var dists []float64
-	for i := 0; i < n; i += step {
-		for j := i + step; j < n; j += step {
-			dists = append(dists, math.Sqrt(linalg.SqDist(rows[i], rows[j])))
+	denom := 2 * sigma * sigma
+	gram := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		krow := gram.Row(i)
+		for j, d2 := range dist[i*n : (i+1)*n] {
+			krow[j] = math.Exp(-d2 / denom)
 		}
 	}
-	if len(dists) == 0 {
-		return 1
-	}
-	sort.Float64s(dists)
-	med := dists[len(dists)/2]
-	if med <= 0 {
-		return 1
-	}
-	return med
+	return norm, RBF{Sigma: sigma}, gram
 }
 
-// medianSigmaDist is medianSigma reading a precomputed n×n squared-distance
-// matrix instead of re-deriving the sampled pairs — same sample indices,
-// same values, same result.
+// medianSigmaDist estimates an RBF bandwidth as the median distance over a
+// sample of the pairs of an n×n squared-distance matrix — a standard
+// heuristic when no bandwidth is given.
 func medianSigmaDist(dist []float64, n int) float64 {
 	if n < 2 {
 		return 1

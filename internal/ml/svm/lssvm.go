@@ -2,7 +2,6 @@ package svm
 
 import (
 	"fmt"
-	"math"
 
 	"metaopt/internal/linalg"
 	"metaopt/internal/ml"
@@ -21,9 +20,6 @@ type LSSVM struct {
 	// Gamma is the regularization weight γ (larger = tighter fit).
 	// Zero selects the default.
 	Gamma float64
-
-	// Kernel defaults to an RBF with a median-distance bandwidth.
-	Kernel Kernel
 
 	// Codes defaults to one-vs-rest over ml.NumClasses.
 	Codes Codes
@@ -47,159 +43,90 @@ type Model struct {
 
 var _ ml.Classifier = (*Model)(nil)
 
-func (t *LSSVM) config(rows [][]float64) (float64, Kernel, Codes, []float64) {
-	gamma := t.Gamma
+// system is the factored LS-SVM matrix A = K + I/γ over one dataset's RBF
+// Gram matrix, with u = A⁻¹·1 and s = 1ᵀu, which every output bit shares.
+type system struct {
+	norm   *ml.Norm
+	kernel RBF
+	ch     *linalg.Cholesky
+	u      []float64
+	s      float64
+}
+
+// newSystem builds and factors the system for d with regularization gamma
+// (zero selects DefaultGamma) at bandwidth sigma (≤ 0 selects the median
+// heuristic).
+func newSystem(d *ml.Dataset, gamma, sigma float64) (*system, error) {
 	if gamma <= 0 {
 		gamma = DefaultGamma
 	}
-	kernel, dist := kernelAndDist(t.Kernel, rows)
-	codes := t.Codes
-	if codes.NumClasses() == 0 {
-		codes = OneVsRest(ml.NumClasses)
-	}
-	return gamma, kernel, codes, dist
-}
-
-// kernelAndDist resolves the kernel, computing the blocked pairwise
-// squared-distance matrix when an RBF Gram matrix will need it (it also
-// backs the median-σ bandwidth estimate, so the sampled pairs are not
-// recomputed). Non-RBF kernels get no matrix.
-func kernelAndDist(kernel Kernel, rows [][]float64) (Kernel, []float64) {
-	_, isRBF := kernel.(RBF)
-	if kernel != nil && !isRBF {
-		return kernel, nil
-	}
-	dist := linalg.PairwiseSqDistInto(rows, nil)
-	if kernel == nil {
-		kernel = RBF{Sigma: medianSigmaDist(dist, len(rows))}
-	}
-	return kernel, dist
-}
-
-// configCols resolves the configuration from a column backing: the pairwise
-// squared-distance matrix is accumulated per feature from normalized columns
-// — the identical float addition sequence as the row build, see
-// linalg.PairwiseSqDistColsInto — so the RBF solver never needs materialized
-// rows. Reports false for custom non-RBF kernels, whose Eval signature
-// requires row vectors.
-func (t *LSSVM) configCols(norm *ml.Norm, cols *ml.Columns) (float64, Kernel, Codes, []float64, bool) {
-	if t.Kernel != nil {
-		if _, isRBF := t.Kernel.(RBF); !isRBF {
-			return 0, nil, Codes{}, nil, false
-		}
-	}
-	gamma := t.Gamma
-	if gamma <= 0 {
-		gamma = DefaultGamma
-	}
-	dist := linalg.PairwiseSqDistColsInto(norm.ApplyColumns(cols), cols.N, nil)
-	kernel := t.Kernel
-	if kernel == nil {
-		kernel = RBF{Sigma: medianSigmaDist(dist, cols.N)}
-	}
-	codes := t.Codes
-	if codes.NumClasses() == 0 {
-		codes = OneVsRest(ml.NumClasses)
-	}
-	return gamma, kernel, codes, dist, true
-}
-
-// columnarConfig is configCols gated on the dataset carrying a usable
-// column backing.
-func (t *LSSVM) columnarConfig(d *ml.Dataset, norm *ml.Norm) (float64, Kernel, Codes, []float64, bool) {
-	cols := d.UsableCols()
-	if cols == nil {
-		return 0, nil, Codes{}, nil, false
-	}
-	return t.configCols(norm, cols)
-}
-
-// system builds and factors the shared matrix A = K + I/γ. For RBF kernels
-// dist carries the cached pairwise squared distances, so the Gram matrix is
-// an element-wise exp over the cache — the values match per-pair Eval calls
-// exactly (same SqDist accumulation, same divisor expression) and rows may
-// be nil (the column-backed LOOCV path never materializes them).
-func system(n int, rows [][]float64, kernel Kernel, gamma float64, dist []float64) (*linalg.Cholesky, error) {
-	a := linalg.NewMatrix(n, n)
-	if rbf, ok := kernel.(RBF); ok && dist != nil {
-		denom := 2 * rbf.Sigma * rbf.Sigma
-		for i := 0; i < n; i++ {
-			arow := a.Row(i)
-			drow := dist[i*n : (i+1)*n]
-			for j := range arow {
-				arow[j] = math.Exp(-drow[j] / denom)
-			}
-			arow[i] += 1 / gamma
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			a.Set(i, i, kernel.Eval(rows[i], rows[i])+1/gamma)
-			for j := 0; j < i; j++ {
-				v := kernel.Eval(rows[i], rows[j])
-				a.Set(i, j, v)
-				a.Set(j, i, v)
-			}
-		}
+	norm, kernel, a := rbfGram(d, sigma)
+	n := a.Rows()
+	ones := make([]float64, n)
+	for i := range ones {
+		a.Add(i, i, 1/gamma)
+		ones[i] = 1
 	}
 	ch, err := linalg.NewCholesky(a)
 	if err != nil {
 		return nil, fmt.Errorf("svm: kernel system not positive definite: %w", err)
-	}
-	return ch, nil
-}
-
-// solveBit computes (a, b) for one binary subproblem given the shared
-// factorization and u = A⁻¹·1, s = 1ᵀu.
-func solveBit(ch *linalg.Cholesky, u []float64, s float64, y []float64) (alpha []float64, bias float64) {
-	v := ch.Solve(y)
-	var sv float64
-	for _, x := range v {
-		sv += x
-	}
-	bias = sv / s
-	alpha = make([]float64, len(y))
-	for i := range alpha {
-		alpha[i] = v[i] - bias*u[i]
-	}
-	return alpha, bias
-}
-
-// Train fits one binary machine per output-code bit.
-func (t *LSSVM) Train(d *ml.Dataset) (ml.Classifier, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if !d.HasRows() {
-		return nil, fmt.Errorf("svm: training a serving model needs materialized feature rows; column-only datasets support LOOCV")
-	}
-	norm := ml.FitNorm(d)
-	rows := norm.ApplyAll(d)
-	gamma, kernel, codes, dist, ok := t.columnarConfig(d, norm)
-	if !ok {
-		gamma, kernel, codes, dist = t.config(rows)
-	}
-	ch, err := system(len(rows), rows, kernel, gamma, dist)
-	if err != nil {
-		return nil, err
-	}
-	n := len(rows)
-	ones := make([]float64, n)
-	for i := range ones {
-		ones[i] = 1
 	}
 	u := ch.Solve(ones)
 	var s float64
 	for _, x := range u {
 		s += x
 	}
+	return &system{norm: norm, kernel: kernel, ch: ch, u: u, s: s}, nil
+}
 
-	m := &Model{norm: norm, rows: rows, kernel: kernel, codes: codes}
-	y := make([]float64, n)
+// looDiag returns (C⁻¹)ᵢᵢ = (A⁻¹)ᵢᵢ − uᵢ²/s for every example, where C is
+// the full bordered KKT matrix: the denominators of the exact leave-one-out
+// shortcut.
+func (sys *system) looDiag() []float64 {
+	diag := sys.ch.InverseDiagonalFast()
+	for i, a := range diag {
+		diag[i] = a - sys.u[i]*sys.u[i]/sys.s
+	}
+	return diag
+}
+
+// solveBit computes (a, b) for one binary subproblem with targets y.
+func (sys *system) solveBit(y []float64) (alpha []float64, bias float64) {
+	v := sys.ch.Solve(y)
+	var sv float64
+	for _, x := range v {
+		sv += x
+	}
+	bias = sv / sys.s
+	alpha = make([]float64, len(y))
+	for i := range alpha {
+		alpha[i] = v[i] - bias*sys.u[i]
+	}
+	return alpha, bias
+}
+
+// Train fits one binary machine per output-code bit.
+func (t *LSSVM) Train(d *ml.Dataset) (ml.Classifier, error) {
+	return t.train(d, 0)
+}
+
+// train is Train at RBF bandwidth sigma (≤ 0 selects the median heuristic).
+func (t *LSSVM) train(d *ml.Dataset, sigma float64) (ml.Classifier, error) {
+	if err := d.ValidateRows(); err != nil {
+		return nil, err
+	}
+	codes := t.Codes.orOneVsRest()
+	sys, err := newSystem(d, t.Gamma, sigma)
+	if err != nil {
+		return nil, err
+	}
+	m := &Model{norm: sys.norm, rows: sys.norm.ApplyAll(d), kernel: sys.kernel, codes: codes}
+	y := make([]float64, d.Len())
 	for bit := 0; bit < codes.NumBits(); bit++ {
 		for i, e := range d.Examples {
 			y[i] = codes.Target(e.Label, bit)
 		}
-		alpha, bias := solveBit(ch, u, s, y)
+		alpha, bias := sys.solveBit(y)
 		m.alpha = append(m.alpha, alpha)
 		m.bias = append(m.bias, bias)
 	}
@@ -240,45 +167,27 @@ func (m *Model) Scores(features []float64) []float64 {
 }
 
 // LOOCV computes exact leave-one-out predictions: for each bit,
-// ŷᵢ = yᵢ − aᵢ/(C⁻¹)ᵢᵢ with (C⁻¹)ᵢᵢ = (A⁻¹)ᵢᵢ − uᵢ²/s, where C is the full
-// bordered KKT matrix. One factorization serves every fold and every bit.
+// ŷᵢ = yᵢ − aᵢ/(C⁻¹)ᵢᵢ, where C is the full bordered KKT matrix. One
+// factorization serves every fold and every bit.
 func (t *LSSVM) LOOCV(d *ml.Dataset) ([]int, error) {
+	return t.loocv(d, 0)
+}
+
+// loocv is LOOCV at RBF bandwidth sigma (≤ 0 selects the median heuristic).
+func (t *LSSVM) loocv(d *ml.Dataset, sigma float64) ([]int, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	if d.Len() < 3 {
 		return nil, fmt.Errorf("svm: LOOCV needs at least 3 examples")
 	}
-	norm := ml.FitNorm(d)
-	n := d.Len()
-	var rows [][]float64
-	gamma, kernel, codes, dist, ok := t.columnarConfig(d, norm)
-	if !ok {
-		if !d.HasRows() {
-			return nil, fmt.Errorf("svm: LOOCV with a custom non-RBF kernel needs materialized feature rows")
-		}
-		rows = norm.ApplyAll(d)
-		gamma, kernel, codes, dist = t.config(rows)
-	}
-	ch, err := system(n, rows, kernel, gamma, dist)
+	codes := t.Codes.orOneVsRest()
+	sys, err := newSystem(d, t.Gamma, sigma)
 	if err != nil {
 		return nil, err
 	}
-	ones := make([]float64, n)
-	for i := range ones {
-		ones[i] = 1
-	}
-	u := ch.Solve(ones)
-	var s float64
-	for _, x := range u {
-		s += x
-	}
-	diagA := ch.InverseDiagonalFast()
-	diagC := make([]float64, n)
-	for i := range diagC {
-		diagC[i] = diagA[i] - u[i]*u[i]/s
-	}
-
+	n := d.Len()
+	diagC := sys.looDiag()
 	looScores := make([][]float64, n)
 	for i := range looScores {
 		looScores[i] = make([]float64, codes.NumBits())
@@ -288,7 +197,7 @@ func (t *LSSVM) LOOCV(d *ml.Dataset) ([]int, error) {
 		for i, e := range d.Examples {
 			y[i] = codes.Target(e.Label, bit)
 		}
-		alpha, _ := solveBit(ch, u, s, y)
+		alpha, _ := sys.solveBit(y)
 		for i := range alpha {
 			if diagC[i] <= 0 {
 				// Numerically degenerate fold: fall back to the training

@@ -2,7 +2,6 @@ package svm
 
 import (
 	"fmt"
-	"math"
 
 	"metaopt/internal/ml"
 )
@@ -15,9 +14,6 @@ import (
 type Regression struct {
 	// Gamma is the regularization weight γ. Zero selects the default.
 	Gamma float64
-
-	// Kernel defaults to an RBF with a median-distance bandwidth.
-	Kernel Kernel
 }
 
 var _ ml.Trainer = (*Regression)(nil)
@@ -34,41 +30,26 @@ type RegModel struct {
 
 var _ ml.Classifier = (*RegModel)(nil)
 
-func (t *Regression) config(rows [][]float64) (float64, Kernel, []float64) {
-	gamma := t.Gamma
-	if gamma <= 0 {
-		gamma = DefaultGamma
+// labelTargets returns every example's label as a regression target.
+func labelTargets(d *ml.Dataset) []float64 {
+	y := make([]float64, d.Len())
+	for i, e := range d.Examples {
+		y[i] = float64(e.Label)
 	}
-	kernel, dist := kernelAndDist(t.Kernel, rows)
-	return gamma, kernel, dist
+	return y
 }
 
 // Train fits the regressor to the labels.
 func (t *Regression) Train(d *ml.Dataset) (ml.Classifier, error) {
-	if err := d.Validate(); err != nil {
+	if err := d.ValidateRows(); err != nil {
 		return nil, err
 	}
-	norm := ml.FitNorm(d)
-	rows := norm.ApplyAll(d)
-	gamma, kernel, dist := t.config(rows)
-	ch, err := system(len(rows), rows, kernel, gamma, dist)
+	sys, err := newSystem(d, t.Gamma, 0)
 	if err != nil {
 		return nil, err
 	}
-	n := len(rows)
-	ones := make([]float64, n)
-	y := make([]float64, n)
-	for i, e := range d.Examples {
-		ones[i] = 1
-		y[i] = float64(e.Label)
-	}
-	u := ch.Solve(ones)
-	var s float64
-	for _, x := range u {
-		s += x
-	}
-	alpha, bias := solveBit(ch, u, s, y)
-	return &RegModel{norm: norm, rows: rows, kernel: kernel, alpha: alpha, bias: bias}, nil
+	alpha, bias := sys.solveBit(labelTargets(d))
+	return &RegModel{norm: sys.norm, rows: sys.norm.ApplyAll(d), kernel: sys.kernel, alpha: alpha, bias: bias}, nil
 }
 
 // Value returns the raw real-valued prediction.
@@ -83,18 +64,7 @@ func (m *RegModel) Value(features []float64) float64 {
 
 // Predict rounds the regression value into the label range.
 func (m *RegModel) Predict(features []float64) int {
-	return clampRound(m.Value(features))
-}
-
-func clampRound(v float64) int {
-	u := int(math.Round(v))
-	if u < 1 {
-		u = 1
-	}
-	if u > ml.NumClasses {
-		u = ml.NumClasses
-	}
-	return u
+	return ml.RoundLabel(m.Value(features))
 }
 
 // LOOCV computes exact leave-one-out predictions with the same shortcut as
@@ -106,35 +76,19 @@ func (t *Regression) LOOCV(d *ml.Dataset) ([]int, error) {
 	if d.Len() < 3 {
 		return nil, fmt.Errorf("svm: regression LOOCV needs at least 3 examples")
 	}
-	norm := ml.FitNorm(d)
-	rows := norm.ApplyAll(d)
-	gamma, kernel, dist := t.config(rows)
-	ch, err := system(len(rows), rows, kernel, gamma, dist)
+	sys, err := newSystem(d, t.Gamma, 0)
 	if err != nil {
 		return nil, err
 	}
-	n := len(rows)
-	ones := make([]float64, n)
-	y := make([]float64, n)
-	for i, e := range d.Examples {
-		ones[i] = 1
-		y[i] = float64(e.Label)
-	}
-	u := ch.Solve(ones)
-	var s float64
-	for _, x := range u {
-		s += x
-	}
-	alpha, _ := solveBit(ch, u, s, y)
-	diagA := ch.InverseDiagonalFast()
-	preds := make([]int, n)
-	for i := range preds {
-		diagC := diagA[i] - u[i]*u[i]/s
+	y := labelTargets(d)
+	alpha, _ := sys.solveBit(y)
+	preds := make([]int, len(y))
+	for i, diagC := range sys.looDiag() {
 		if diagC <= 0 {
-			preds[i] = clampRound(y[i])
+			preds[i] = ml.RoundLabel(y[i])
 			continue
 		}
-		preds[i] = clampRound(y[i] - alpha[i]/diagC)
+		preds[i] = ml.RoundLabel(y[i] - alpha[i]/diagC)
 	}
 	return preds, nil
 }

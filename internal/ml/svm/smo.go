@@ -16,9 +16,6 @@ type SMO struct {
 	// C is the soft-margin penalty. Zero selects the default.
 	C float64
 
-	// Kernel defaults to an RBF with a median-distance bandwidth.
-	Kernel Kernel
-
 	// Codes defaults to one-vs-rest over ml.NumClasses.
 	Codes Codes
 
@@ -49,25 +46,17 @@ type smoModel struct {
 
 var _ ml.Classifier = (*smoModel)(nil)
 
-// Train fits one binary C-SVM per output-code bit.
+// Train fits one binary C-SVM per output-code bit on the RBF kernel with
+// the median-distance bandwidth.
 func (t *SMO) Train(d *ml.Dataset) (ml.Classifier, error) {
-	if err := d.Validate(); err != nil {
+	if err := d.ValidateRows(); err != nil {
 		return nil, err
 	}
-	norm := ml.FitNorm(d)
-	rows := norm.ApplyAll(d)
 	c := t.C
 	if c <= 0 {
 		c = 10
 	}
-	kernel := t.Kernel
-	if kernel == nil {
-		kernel = RBF{Sigma: medianSigma(rows)}
-	}
-	codes := t.Codes
-	if codes.NumClasses() == 0 {
-		codes = OneVsRest(ml.NumClasses)
-	}
+	codes := t.Codes.orOneVsRest()
 	tol := t.Tol
 	if tol <= 0 {
 		tol = 1e-3
@@ -77,21 +66,15 @@ func (t *SMO) Train(d *ml.Dataset) (ml.Classifier, error) {
 		maxPasses = 5
 	}
 
-	n := len(rows)
-	// Precompute the kernel matrix once; all bits share it.
+	// The Gram matrix is computed once; all bits share it.
+	norm, kernel, gram := rbfGram(d, 0)
+	n := d.Len()
 	k := make([][]float64, n)
 	for i := range k {
-		k[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			v := kernel.Eval(rows[i], rows[j])
-			k[i][j] = v
-			k[j][i] = v
-		}
+		k[i] = gram.Row(i)
 	}
 
-	m := &smoModel{norm: norm, rows: rows, kernel: kernel, codes: codes}
+	m := &smoModel{norm: norm, rows: norm.ApplyAll(d), kernel: kernel, codes: codes}
 	rng := rand.New(rand.NewSource(t.Seed + 1))
 	for bit := 0; bit < codes.NumBits(); bit++ {
 		y := make([]float64, n)

@@ -3,6 +3,7 @@ package svm
 import (
 	"testing"
 
+	"metaopt/internal/linalg"
 	"metaopt/internal/ml"
 	"metaopt/internal/ml/mltest"
 )
@@ -84,20 +85,20 @@ func TestLSSVMGeneralizes(t *testing.T) {
 
 // TestLSSVMFastLOOCVMatchesExplicit is the key correctness property: the
 // closed-form leave-one-out shortcut must agree with actually retraining
-// without each example.
+// without each example. Both run at one fixed bandwidth, so the folds share
+// the kernel.
 func TestLSSVMFastLOOCVMatchesExplicit(t *testing.T) {
 	d := mltest.Clusters(40, 5, 4, 0.25, 3)
-	tr := &LSSVM{Gamma: 20, Kernel: RBF{Sigma: 1.5}}
-	fast, err := tr.LOOCV(d)
+	tr := &LSSVM{Gamma: 20}
+	const sigma = 1.5
+	fast, err := tr.loocv(d, sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Explicit refold: train on d minus i, predict example i. The explicit
-	// path refits normalization per fold, so compare with a fixed-norm
-	// variant: normalize once outside.
+	// Explicit refold: train on d minus i, predict example i.
 	mismatches := 0
 	for i := range d.Examples {
-		c, err := tr.Train(d.Without(i))
+		c, err := tr.train(d.Without(i), sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,8 +106,8 @@ func TestLSSVMFastLOOCVMatchesExplicit(t *testing.T) {
 			mismatches++
 		}
 	}
-	// Normalization statistics shift slightly per fold, so allow a small
-	// disagreement margin.
+	// The explicit path refits normalization per fold, so its statistics
+	// shift slightly: allow a small disagreement margin.
 	if frac := float64(mismatches) / float64(d.Len()); frac > 0.15 {
 		t.Errorf("fast vs explicit LOOCV disagreement = %.2f", frac)
 	}
@@ -179,11 +180,16 @@ func TestKernels(t *testing.T) {
 
 func TestMedianSigma(t *testing.T) {
 	rows := [][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
-	s := medianSigma(rows)
-	if s <= 0 {
-		t.Errorf("sigma = %v", s)
+	dist := make([]float64, len(rows)*len(rows))
+	for i := range rows {
+		for j := range rows {
+			dist[i*len(rows)+j] = linalg.SqDist(rows[i], rows[j])
+		}
 	}
-	if s := medianSigma(rows[:1]); s != 1 {
+	if s := medianSigmaDist(dist, len(rows)); s != 1 {
+		t.Errorf("sigma = %v, want the median distance 1", s)
+	}
+	if s := medianSigmaDist(dist[:1], 1); s != 1 {
 		t.Errorf("degenerate sigma = %v", s)
 	}
 }

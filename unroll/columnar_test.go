@@ -2,6 +2,7 @@ package unroll_test
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -98,5 +99,69 @@ func TestOpenDatasetColumnarOutOfCore(t *testing.T) {
 		if got.RankFrac != want.RankFrac {
 			t.Fatalf("%s: out-of-core rank table %v, in-memory %v", alg, got.RankFrac, want.RankFrac)
 		}
+	}
+}
+
+// columnOnly writes the small dataset columnar and opens the file twice:
+// mapped without feature rows, and loaded into memory.
+func columnOnly(t *testing.T) (lite, mem *unroll.Dataset) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "dataset.cols")
+	if err := smallDataset(t).SaveColumnar(path, ""); err != nil {
+		t.Fatal(err)
+	}
+	lite, closeDS, err := unroll.OpenDatasetColumnar(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { closeDS() })
+	if mem, err = unroll.LoadDatasetFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return lite, mem
+}
+
+// TestColumnOnlyTrainEvaluate: on a column-only dataset every algorithm's
+// Train refuses with an error, and Evaluate either refuses or renders
+// exactly the report of the in-memory load of the same file.
+func TestColumnOnlyTrainEvaluate(t *testing.T) {
+	lite, mem := columnOnly(t)
+	for _, alg := range []unroll.Algorithm{
+		unroll.NearNeighbor, unroll.LSSVM, unroll.LSSVMECOC, unroll.SMOSVM,
+		unroll.Regress, unroll.DecisionTree, unroll.BoostedTree,
+	} {
+		opt := unroll.TrainOptions{Algorithm: alg}
+		if _, err := unroll.Train(lite, opt); err == nil {
+			t.Errorf("%s: Train accepted a column-only dataset", alg)
+		}
+		got, err := unroll.Evaluate(lite, opt)
+		if err != nil {
+			continue
+		}
+		want, err := unroll.Evaluate(mem, opt)
+		if err != nil {
+			t.Fatalf("%s in memory: %v", alg, err)
+		}
+		if got.Render() != want.Render() {
+			t.Errorf("%s: column-only report\n%s\nin-memory report\n%s", alg, got.Render(), want.Render())
+		}
+	}
+}
+
+// TestSelectFeaturesRefusesColumnOnly: feature selection reads rows, so a
+// column-only dataset is an error, not an empty selection.
+func TestSelectFeaturesRefusesColumnOnly(t *testing.T) {
+	lite, _ := columnOnly(t)
+	if feats, err := unroll.SelectFeatures(lite, 1); err == nil {
+		t.Fatalf("SelectFeatures accepted a column-only dataset and chose %v", feats)
+	}
+}
+
+// TestSaveCSVRefusesColumnOnly: CSV rows carry every feature, so a
+// column-only dataset is refused, as the JSON Save refuses it.
+func TestSaveCSVRefusesColumnOnly(t *testing.T) {
+	lite, _ := columnOnly(t)
+	if err := lite.SaveCSV(io.Discard); err == nil {
+		t.Fatal("SaveCSV accepted a column-only dataset")
 	}
 }

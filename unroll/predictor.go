@@ -463,6 +463,9 @@ func OpenDatasetColumnar(path string) (*Dataset, func() error, error) {
 // every feature, the measured cycles at each factor, and the label. This is
 // the flat "raw loop data" format for external analysis tools.
 func (d *Dataset) SaveCSV(w io.Writer) error {
+	if d.d.Len() > 0 && !d.d.HasRows() {
+		return fmt.Errorf("unroll: CSV save needs materialized feature rows; column-only datasets persist via SaveColumnar")
+	}
 	cw := csv.NewWriter(w)
 	header := []string{"benchmark", "loop"}
 	header = append(header, d.d.FeatureNames...)
