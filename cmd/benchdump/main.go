@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -32,10 +33,12 @@ import (
 	"metaopt/internal/colstore"
 	"metaopt/internal/experiments"
 	"metaopt/internal/lang"
+	"metaopt/internal/linalg"
 	"metaopt/internal/machine"
 	"metaopt/internal/ml"
 	"metaopt/internal/ml/greedy"
 	"metaopt/internal/ml/nn"
+	"metaopt/internal/ml/svm"
 	"metaopt/internal/ml/tree"
 	"metaopt/internal/sched"
 	"metaopt/internal/serve"
@@ -76,6 +79,27 @@ func daxpyLoop() (*unroll.Loop, error) {
 		return nil, err
 	}
 	return lang.Lower(k)
+}
+
+// lssvmSystem is a seeded LS-SVM system matrix K + I/γ of order n: the RBF
+// Gram matrix of n random points in the unit 5-cube plus the default ridge.
+func lssvmSystem(n int) *linalg.Matrix {
+	rng := rand.New(rand.NewSource(1))
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = make([]float64, 5)
+		for f := range pts[i] {
+			pts[i][f] = rng.Float64()
+		}
+	}
+	a := linalg.NewMatrix(n, n)
+	for i := range pts {
+		for j := range pts {
+			a.Set(i, j, math.Exp(-linalg.SqDist(pts[i], pts[j])/0.5))
+		}
+		a.Add(i, i, 1.0/svm.DefaultGamma)
+	}
+	return a
 }
 
 // suite builds the benchmark closures. The corpus-backed entries share one
@@ -193,6 +217,27 @@ collect:
 				if _, err := tr.LOOCV(sel); err != nil {
 					b.Fatal(err)
 				}
+			}
+		}},
+		{"Cholesky", func(b *testing.B) {
+			// One LS-SVM system at the fold training cap: the factorization
+			// plus the inverse diagonal exact LOOCV reads. Each iteration
+			// factors a fresh copy, made outside the timer.
+			const n = 1500
+			a := lssvmSystem(n)
+			work := linalg.NewMatrix(n, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for r := 0; r < n; r++ {
+					copy(work.Row(r), a.Row(r))
+				}
+				b.StartTimer()
+				ch, err := linalg.NewCholesky(work)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ch.InverseDiagonal()
 			}
 		}},
 		{"DatasetLoadJSON", func(b *testing.B) {

@@ -1,0 +1,193 @@
+package linalg
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"metaopt/internal/par"
+)
+
+// rowDotCholesky is the textbook row-dot factorization, column by column
+// into a fresh L: the oracle the panel kernel must match bit for bit.
+func rowDotCholesky(a *Matrix) (*Matrix, error) {
+	n := a.Rows()
+	l := NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		d := a.At(j, j)
+		lrowj := l.Row(j)
+		for k := 0; k < j; k++ {
+			d -= lrowj[k] * lrowj[k]
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return nil, ErrNotPositiveDefinite
+		}
+		d = math.Sqrt(d)
+		l.Set(j, j, d)
+		for i := j + 1; i < n; i++ {
+			s := a.At(i, j)
+			lrowi := l.Row(i)
+			for k := 0; k < j; k++ {
+				s -= lrowi[k] * lrowj[k]
+			}
+			l.Set(i, j, s/d)
+		}
+	}
+	return l, nil
+}
+
+// columnInverseDiagonal builds M = L⁻¹ column by column, walking M's
+// columns, and sums each column's squares: the oracle for InverseDiagonal.
+func columnInverseDiagonal(l *Matrix) []float64 {
+	n := l.Rows()
+	m := NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		m.Set(j, j, 1/l.At(j, j))
+		for i := j + 1; i < n; i++ {
+			var s float64
+			lrow := l.Row(i)
+			for k := j; k < i; k++ {
+				s += lrow[k] * m.At(k, j)
+			}
+			m.Set(i, j, -s/lrow[i])
+		}
+	}
+	diag := make([]float64, n)
+	for j := 0; j < n; j++ {
+		var s float64
+		for i := j; i < n; i++ {
+			v := m.At(i, j)
+			s += v * v
+		}
+		diag[j] = s
+	}
+	return diag
+}
+
+// lssvmMatrix is an LS-SVM system matrix K + I/γ: the RBF Gram matrix of n
+// random points in 5 dimensions plus a ridge, SPD and conditioned like the
+// systems the pipeline factors.
+func lssvmMatrix(n int, seed int64) *Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = make([]float64, 5)
+		for f := range pts[i] {
+			pts[i][f] = rng.Float64()
+		}
+	}
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(i, j, math.Exp(-SqDist(pts[i], pts[j])/0.5))
+		}
+		a.Add(i, i, 1.0/50)
+	}
+	return a
+}
+
+// requireSameBits fails unless got and want hold the same float64 bits.
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, oracle %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestCholeskyMatchesRowDot pins the panel factorization and the
+// column-block inverse diagonal to their row-dot and column-walking
+// oracles, bit for bit, at sizes that cut the 8-column groups, the 32-row
+// strips and the 128-column panels, under pool widths 1–3.
+func TestCholeskyMatchesRowDot(t *testing.T) {
+	sizes := []int{1, 2, 7, 8, 9, 33, 127, 128, 129, 161, 255, 257, 700}
+	if testing.Short() {
+		sizes = sizes[:len(sizes)-1]
+	}
+	for _, n := range sizes {
+		a := lssvmMatrix(n, int64(n))
+		wantL, err := rowDotCholesky(a)
+		if err != nil {
+			t.Fatalf("n=%d: oracle: %v", n, err)
+		}
+		wantDiag := columnInverseDiagonal(wantL)
+		for _, w := range []int{1, 2, 3} {
+			restore := par.SetLimit(w)
+			work := clone(a)
+			ch, err := NewCholesky(work)
+			if err != nil {
+				restore()
+				t.Fatalf("n=%d width %d: %v", n, w, err)
+			}
+			name := fmt.Sprintf("n=%d width %d", n, w)
+			requireSameBits(t, name+": L", work.data, wantL.data)
+			requireSameBits(t, name+": inverse diagonal", ch.InverseDiagonal(), wantDiag)
+			restore()
+		}
+	}
+}
+
+// TestCholeskyRefusesLikeRowDot places a bad pivot in the first, a middle
+// and the last panel — in a panel's first strip and in later ones — and
+// checks the panel kernel refuses exactly when the oracle does, and, when
+// both accept, agrees with it bit for bit.
+func TestCholeskyRefusesLikeRowDot(t *testing.T) {
+	const n = 300 // panels [0,128), [128,256), [256,300); strips of 32 rows
+	base := lssvmMatrix(n, 3)
+	for _, p := range []int{0, 1, 130, 200, n - 1} {
+		for _, v := range []float64{0, -1, math.NaN(), 1e-3, 0.5, 2} {
+			a := clone(base)
+			a.Set(p, p, v)
+			wantL, wantErr := rowDotCholesky(a)
+			for _, w := range []int{1, 2, 3} {
+				restore := par.SetLimit(w)
+				work := clone(a)
+				_, err := NewCholesky(work)
+				restore()
+				if err != wantErr {
+					t.Fatalf("pivot %d = %v, width %d: err %v, oracle %v", p, v, w, err, wantErr)
+				}
+				if err == nil {
+					requireSameBits(t, fmt.Sprintf("pivot %d = %v, width %d: L", p, v, w), work.data, wantL.data)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkCholesky(b *testing.B) {
+	for _, n := range []int{1500, 3153} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			a := lssvmMatrix(n, 1)
+			work := NewMatrix(n, n)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(work.data, a.data)
+				b.StartTimer()
+				if _, err := NewCholesky(work); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkInverseDiagonal(b *testing.B) {
+	for _, n := range []int{1500, 3153} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ch, err := NewCholesky(lssvmMatrix(n, 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ch.InverseDiagonal()
+			}
+		})
+	}
+}

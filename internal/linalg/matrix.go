@@ -1,14 +1,13 @@
 // Package linalg provides the small dense linear-algebra kernel used by the
 // learning algorithms in this repository (least-squares SVMs and linear
 // discriminant analysis). It implements exactly what those algorithms need —
-// dense matrices, Cholesky factorization, triangular solves, symmetric
-// inversion and a Jacobi eigensolver — with no external dependencies.
+// dense matrices, Cholesky factorization, triangular solves, the diagonal of
+// the inverse and a Jacobi eigensolver — with no external dependencies.
 package linalg
 
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Matrix is a dense, row-major matrix of float64.
@@ -25,20 +24,13 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewMatrixFromRows builds a matrix from row slices. All rows must have the
-// same length.
-func NewMatrixFromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
+// NewMatrixData wraps data, rows·cols values in row-major order, as a
+// matrix that shares its storage.
+func NewMatrixData(rows, cols int, data []float64) *Matrix {
+	if rows < 0 || cols < 0 || len(data) != rows*cols {
+		panic(fmt.Sprintf("linalg: %d values for a %dx%d matrix", len(data), rows, cols))
 	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic(fmt.Sprintf("linalg: ragged rows: row %d has %d cols, want %d", i, len(r), m.cols))
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m
+	return &Matrix{rows: rows, cols: cols, data: data}
 }
 
 // Identity returns the n×n identity matrix.
@@ -67,93 +59,6 @@ func (m *Matrix) Add(i, j int, v float64) { m.data[i*m.cols+j] += v }
 
 // Row returns a view of row i (shared storage).
 func (m *Matrix) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.data[j*t.cols+i] = v
-		}
-	}
-	return t
-}
-
-// Mul returns the matrix product m·b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		arow := m.Row(i)
-		orow := out.Row(i)
-		for k, a := range arow {
-			if a == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += a * bv
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns the matrix-vector product m·x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if m.cols != len(x) {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %dx%d · %d", m.rows, m.cols, len(x)))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = Dot(m.Row(i), x)
-	}
-	return out
-}
-
-// Scale multiplies every element by s, in place, and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// AddMatrix adds b into m element-wise, in place, and returns m.
-func (m *Matrix) AddMatrix(b *Matrix) *Matrix {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic("linalg: AddMatrix dimension mismatch")
-	}
-	for i := range m.data {
-		m.data[i] += b.data[i]
-	}
-	return m
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var sb strings.Builder
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "%9.4f", m.At(i, j))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
 
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {

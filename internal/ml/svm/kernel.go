@@ -38,9 +38,10 @@ func (Linear) Eval(a, b []float64) float64 { return linalg.Dot(a, b) }
 // rbfGram fits the normalizer to d's columns (ml.Dataset.Columns) and
 // builds the RBF kernel and its Gram matrix Kᵢⱼ = exp(−‖xᵢ−xⱼ‖²/(2σ²)) from
 // the tiled pairwise squared distances of the normalized columns. sigma ≤ 0
-// selects the median-distance bandwidth. Every entry equals the kernel's
-// Eval on the two examples' normalized rows bit for bit: the distance is
-// SqDist's, and the divisor is Eval's expression.
+// selects the median-distance bandwidth. The distances are exponentiated in
+// place, so the Gram matrix is the one n×n buffer the caller holds. Every
+// entry equals the kernel's Eval on the two examples' normalized rows bit
+// for bit: the distance is SqDist's, and the divisor is Eval's expression.
 func rbfGram(d *ml.Dataset, sigma float64) (*ml.Norm, RBF, *linalg.Matrix) {
 	cols := d.Columns()
 	norm := ml.FitNorm(cols)
@@ -50,14 +51,10 @@ func rbfGram(d *ml.Dataset, sigma float64) (*ml.Norm, RBF, *linalg.Matrix) {
 		sigma = medianSigmaDist(dist, n)
 	}
 	denom := 2 * sigma * sigma
-	gram := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		krow := gram.Row(i)
-		for j, d2 := range dist[i*n : (i+1)*n] {
-			krow[j] = math.Exp(-d2 / denom)
-		}
+	for i, d2 := range dist {
+		dist[i] = math.Exp(-d2 / denom)
 	}
-	return norm, RBF{Sigma: sigma}, gram
+	return norm, RBF{Sigma: sigma}, linalg.NewMatrixData(n, n, dist)
 }
 
 // medianSigmaDist estimates an RBF bandwidth as the median distance over a

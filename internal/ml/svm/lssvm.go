@@ -55,7 +55,8 @@ type system struct {
 
 // newSystem builds and factors the system for d with regularization gamma
 // (zero selects DefaultGamma) at bandwidth sigma (≤ 0 selects the median
-// heuristic).
+// heuristic). The Gram matrix is factored in place, so the system holds one
+// n×n buffer.
 func newSystem(d *ml.Dataset, gamma, sigma float64) (*system, error) {
 	if gamma <= 0 {
 		gamma = DefaultGamma
@@ -83,7 +84,7 @@ func newSystem(d *ml.Dataset, gamma, sigma float64) (*system, error) {
 // the full bordered KKT matrix: the denominators of the exact leave-one-out
 // shortcut.
 func (sys *system) looDiag() []float64 {
-	diag := sys.ch.InverseDiagonalFast()
+	diag := sys.ch.InverseDiagonal()
 	for i, a := range diag {
 		diag[i] = a - sys.u[i]*sys.u[i]/sys.s
 	}

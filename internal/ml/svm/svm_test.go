@@ -1,11 +1,14 @@
 package svm
 
 import (
+	"slices"
 	"testing"
 
 	"metaopt/internal/linalg"
 	"metaopt/internal/ml"
 	"metaopt/internal/ml/mltest"
+	"metaopt/internal/obs"
+	"metaopt/internal/par"
 )
 
 func TestCodesOneVsRest(t *testing.T) {
@@ -191,5 +194,31 @@ func TestMedianSigma(t *testing.T) {
 	}
 	if s := medianSigmaDist(dist[:1], 1); s != 1 {
 		t.Errorf("degenerate sigma = %v", s)
+	}
+}
+
+// TestLSSVMLOOCVPoolWidthInvariant runs an exact LOOCV large enough to
+// span three 128-column panels of the factorization serially and over
+// three workers: the predictions must agree, and the linalg kernels must
+// split their work without adding stages or items to the pool's telemetry.
+func TestLSSVMLOOCVPoolWidthInvariant(t *testing.T) {
+	d := mltest.Clusters(320, 6, 4, 0.3, 11)
+	stages, items := obs.C("par.stages"), obs.C("par.items_processed")
+	var preds [2][]int
+	for run, w := range []int{1, 3} {
+		restore := par.SetLimit(w)
+		s0, i0 := stages.Value(), items.Value()
+		p, err := (&LSSVM{}).LOOCV(d)
+		restore()
+		if err != nil {
+			t.Fatalf("width %d: %v", w, err)
+		}
+		if ds, di := stages.Value()-s0, items.Value()-i0; ds != 0 || di != 0 {
+			t.Errorf("width %d: LOOCV moved par.stages by %d and par.items_processed by %d, want 0", w, ds, di)
+		}
+		preds[run] = p
+	}
+	if !slices.Equal(preds[0], preds[1]) {
+		t.Fatalf("LOOCV predictions differ between widths 1 and 3:\n%v\n%v", preds[0], preds[1])
 	}
 }

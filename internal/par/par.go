@@ -80,7 +80,35 @@ func ForEach(n int, fn func(i int) error) error {
 // an erroring one.
 func ForEachWorker(n int, fn func(worker, i int) error) error {
 	w := Workers(n)
-	st := beginStage(n, w)
+	return run(n, w, func(wk, i int) error {
+		if err := faults.Check("par.item"); err != nil {
+			return err
+		}
+		return fn(wk, i)
+	}, beginStage(n, w))
+}
+
+// ForEachWorkerQuiet is ForEachWorker for items that cannot fail, without
+// telemetry or the "par.item" fault site: it records no stage and counts
+// no items, so a kernel the pipeline calls hundreds of times (the linalg
+// factorizations, one pass per call) leaves the run's stage log and pool
+// counters as they were. Items are handed out in ascending index order and
+// a worker takes its next item only after finishing the last, so an item
+// may block until a lower-indexed item is done. A panic in fn is contained
+// as in ForEachWorker, then re-raised in the caller's goroutine as the
+// *faults.PanicError of the lowest panicking index once the pool drains.
+func ForEachWorkerQuiet(n int, fn func(worker, i int)) {
+	err := run(n, Workers(n), func(wk, i int) error {
+		fn(wk, i)
+		return nil
+	}, &stage{})
+	if err != nil {
+		panic(err)
+	}
+}
+
+// run drains [0, n) over w workers, reporting to st.
+func run(n, w int, fn func(worker, i int) error, st *stage) error {
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			t0 := time.Now()
@@ -132,9 +160,6 @@ func safeCall(fn func(worker, i int) error, wk, i int) (err error) {
 			err = faults.NewPanicError(r)
 		}
 	}()
-	if err := faults.Check("par.item"); err != nil {
-		return err
-	}
 	return fn(wk, i)
 }
 

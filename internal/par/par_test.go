@@ -162,3 +162,61 @@ func TestWorkersClamps(t *testing.T) {
 		t.Fatalf("Workers(100) at limit 1 = %d, want 1", got)
 	}
 }
+
+// TestForEachWorkerQuiet: the quiet pool covers every index without moving
+// the stage or item counters, skips the "par.item" fault site, and
+// re-raises a panicking item in the caller's goroutine as the lowest
+// panicking index's PanicError.
+func TestForEachWorkerQuiet(t *testing.T) {
+	restore := SetLimit(3)
+	defer restore()
+	faults.MustInstall(faults.Spec{Site: "par.item", Kind: faults.KindPanic, Nth: 1})
+	defer faults.Reset()
+	stages, items := mStages.Value(), mItems.Value()
+	got := make([]int, 50)
+	ForEachWorkerQuiet(len(got), func(_, i int) { got[i] = i + 1 })
+	for i, v := range got {
+		if v != i+1 {
+			t.Fatalf("index %d not visited (got %d)", i, v)
+		}
+	}
+	if mStages.Value() != stages || mItems.Value() != items {
+		t.Fatalf("par.stages moved %d, par.items_processed moved %d, want 0", mStages.Value()-stages, mItems.Value()-items)
+	}
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		ForEachWorkerQuiet(10, func(_, i int) {
+			if i == 2 {
+				panic("first")
+			}
+			if i == 8 {
+				panic("second")
+			}
+		})
+		return nil
+	}()
+	if pe, ok := r.(*faults.PanicError); !ok || pe.Value != "first" {
+		t.Fatalf("recovered %v, want the PanicError of index 2", r)
+	}
+}
+
+// TestForEachWorkerQuietInOrder: every item waits for the item before it,
+// which completes only if items are handed out in ascending order and no
+// worker takes a new item before finishing its last — the contract
+// linalg.NewCholesky's strips rely on.
+func TestForEachWorkerQuietInOrder(t *testing.T) {
+	for _, w := range []int{1, 2, 3} {
+		restore := SetLimit(w)
+		done := make([]chan struct{}, 40)
+		for i := range done {
+			done[i] = make(chan struct{})
+		}
+		ForEachWorkerQuiet(len(done), func(_, i int) {
+			defer close(done[i])
+			if i > 0 {
+				<-done[i-1]
+			}
+		})
+		restore()
+	}
+}

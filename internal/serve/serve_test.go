@@ -245,14 +245,17 @@ func TestServeBackpressureConcurrent(t *testing.T) {
 
 // TestServeDrainConcurrent starts a drain with one request held and 15
 // queued: all 16 must complete, later requests must be refused, and
-// Shutdown must return only after the queue is empty.
+// Shutdown must return only after the queue is empty. The drain starts
+// only once every request is admitted — held by the blocked worker, which
+// takes one job per dispatch, or queued — since a request still being
+// decoded when the drain begins is refused.
 func TestServeDrainConcurrent(t *testing.T) {
 	pred := trainPredictor(t, unroll.NearNeighbor)
 	s, c := newTestServer(t, Config{
 		Model:          pred,
 		QueueDepth:     64,
 		Workers:        1,
-		MaxBatch:       4,
+		MaxBatch:       1,
 		CacheSize:      -1,
 		RequestTimeout: 30 * time.Second,
 	})
@@ -264,7 +267,6 @@ func TestServeDrainConcurrent(t *testing.T) {
 	}
 
 	const n = 16
-	reqsBefore := mReqs.Value()
 	results := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
@@ -274,7 +276,7 @@ func TestServeDrainConcurrent(t *testing.T) {
 		}(i)
 	}
 	<-entered
-	waitFor(t, "all requests admitted", func() bool { return mReqs.Value()-reqsBefore >= n })
+	waitFor(t, "all requests admitted", func() bool { return len(s.queue) == n-1 })
 
 	shutdownDone := make(chan error, 1)
 	go func() {
