@@ -31,9 +31,11 @@ import (
 
 	"metaopt/internal/analysis"
 	"metaopt/internal/colstore"
+	"metaopt/internal/core"
 	"metaopt/internal/experiments"
 	"metaopt/internal/lang"
 	"metaopt/internal/linalg"
+	"metaopt/internal/loopgen"
 	"metaopt/internal/machine"
 	"metaopt/internal/ml"
 	"metaopt/internal/ml/greedy"
@@ -199,6 +201,12 @@ collect:
 	}
 	sel.BuildColumns()
 
+	// Labeling corpus: generated once, outside the timer.
+	lc, err := loopgen.Generate(loopgen.Options{Seed: 2005, LoopsScale: 0.1})
+	if err != nil {
+		return nil, cleanup, err
+	}
+
 	return []struct {
 		name string
 		fn   func(b *testing.B)
@@ -281,6 +289,21 @@ collect:
 			for i := 0; i < b.N; i++ {
 				if _, err := greedy.Select(&nn.Trainer{OneNN: true}, d, 3); err != nil {
 					b.Fatal(err)
+				}
+			}
+		}},
+		{"Label", func(b *testing.B) {
+			// The labeler's whole compile stack on a tenth of the corpus:
+			// every loop at every factor in both SWP modes, a fresh timer
+			// per mode, so every compile misses the cache. The seed is the
+			// experiments' label seed (2005 + 100).
+			for i := 0; i < b.N; i++ {
+				for _, swpOn := range []bool{false, true} {
+					cfg := sim.DefaultConfig()
+					cfg.SWP = swpOn
+					if _, err := core.CollectLabels(lc, sim.NewTimer(cfg), 2105); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		}},

@@ -54,16 +54,28 @@ type Graph struct {
 	// idx maps op ID → body position during construction (-1 for pseudo
 	// ops). IDs are dense per loop, so a slice beats a pointer-keyed map.
 	idx []int32
+
+	// Construction scratch Reset keeps for the next body: the memory-op
+	// positions, the per-op degrees and the two slabs Out and In view.
+	mems            []int
+	outDeg, inDeg   []int32
+	outSlab, inSlab []Edge
 }
 
 // Build constructs the dependence graph of l for machine m.
 func Build(l *ir.Loop, m *machine.Desc) *Graph {
-	g := &Graph{
-		Loop: l,
-		Mach: m,
-		Ops:  l.Body,
-		idx:  make([]int32, l.MaxID()),
-	}
+	return new(Graph).Reset(l, m)
+}
+
+// Reset rebuilds g in place as the dependence graph of l for machine m and
+// returns g. The result equals Build(l, m); the edge list, the adjacency
+// headers and slabs and the construction scratch reuse g's capacity, so a
+// warmed graph resets without allocating. Slices taken from g before the
+// call are overwritten.
+func (g *Graph) Reset(l *ir.Loop, m *machine.Desc) *Graph {
+	g.Loop, g.Mach, g.Ops = l, m, l.Body
+	g.Edges = g.Edges[:0]
+	g.idx = resize(g.idx, l.MaxID())
 	for i := range g.idx {
 		g.idx[i] = -1
 	}
@@ -77,6 +89,15 @@ func Build(l *ir.Loop, m *machine.Desc) *Graph {
 	return g
 }
 
+// resize returns s with length n, reusing its capacity when it suffices.
+// The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // addEdge records an edge; adjacency lists are built in one pass at the
 // end (buildAdjacency), so edge collection only grows a single slice.
 func (g *Graph) addEdge(e Edge) {
@@ -88,25 +109,24 @@ func (g *Graph) addEdge(e Edge) {
 // same order incremental appends produced.
 func (g *Graph) buildAdjacency() {
 	n := len(g.Ops)
-	g.Out = make([][]Edge, n)
-	g.In = make([][]Edge, n)
-	if len(g.Edges) == 0 {
-		return
-	}
-	outDeg := make([]int32, n)
-	inDeg := make([]int32, n)
+	g.Out = resize(g.Out, n)
+	g.In = resize(g.In, n)
+	g.outDeg = resize(g.outDeg, n)
+	g.inDeg = resize(g.inDeg, n)
+	clear(g.outDeg)
+	clear(g.inDeg)
 	for _, e := range g.Edges {
-		outDeg[e.From]++
-		inDeg[e.To]++
+		g.outDeg[e.From]++
+		g.inDeg[e.To]++
 	}
-	outSlab := make([]Edge, len(g.Edges))
-	inSlab := make([]Edge, len(g.Edges))
+	g.outSlab = resize(g.outSlab, len(g.Edges))
+	g.inSlab = resize(g.inSlab, len(g.Edges))
 	var outOff, inOff int32
 	for i := 0; i < n; i++ {
-		g.Out[i] = outSlab[outOff:outOff:outOff+outDeg[i]]
-		g.In[i] = inSlab[inOff:inOff:inOff+inDeg[i]]
-		outOff += outDeg[i]
-		inOff += inDeg[i]
+		g.Out[i] = g.outSlab[outOff : outOff : outOff+g.outDeg[i]]
+		g.In[i] = g.inSlab[inOff : inOff : inOff+g.inDeg[i]]
+		outOff += g.outDeg[i]
+		inOff += g.inDeg[i]
 	}
 	for _, e := range g.Edges {
 		g.Out[e.From] = append(g.Out[e.From], e)
@@ -134,12 +154,13 @@ func (g *Graph) addDataEdges() {
 // iteration distance; other same-array pairs and — unless the loop is
 // known alias-free — cross-array store pairs are handled conservatively.
 func (g *Graph) addMemEdges() {
-	var mems []int
+	mems := g.mems[:0]
 	for i, op := range g.Ops {
 		if op.Code.IsMem() {
 			mems = append(mems, i)
 		}
 	}
+	g.mems = mems
 	for ai := 0; ai < len(mems); ai++ {
 		for bi := ai + 1; bi < len(mems); bi++ {
 			g.memPair(mems[ai], mems[bi])

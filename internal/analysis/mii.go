@@ -80,45 +80,18 @@ func (g *Graph) RecurrenceRatioExcluding(exclude func(*ir.Op) bool) (num, den in
 		return 0, 1
 	}
 
-	// positiveCycle reports whether weights a·lat − b·dist admit a positive
-	// cycle, i.e. whether some cycle has lat/dist > b/a... equivalently the
-	// candidate ratio b/a is infeasible as an II.
-	positiveCycle := func(a, b int) bool {
-		dist := make([]int64, n)
-		for iter := 0; iter < n; iter++ {
-			changed := false
-			for _, e := range edges {
-				w := int64(a*e.Lat - b*e.Dist)
-				if dist[e.From]+w > dist[e.To] {
-					dist[e.To] = dist[e.From] + w
-					changed = true
-				}
-			}
-			if !changed {
-				return false
-			}
-		}
-		// One more relaxation round: any further improvement proves a
-		// positive cycle.
-		for _, e := range edges {
-			w := int64(a*e.Lat - b*e.Dist)
-			if dist[e.From]+w > dist[e.To] {
-				return true
-			}
-		}
-		return false
-	}
+	dist := make([]int64, n)
 
 	// Binary search the smallest integer II with no positive cycle.
 	lo, hi := 0, maxII // II=lo infeasible or unknown; II=hi feasible
-	if !positiveCycle(1, 0) {
+	if !positiveCycle(edges, dist, 1, 0) {
 		// No positive-latency cycle at all: recurrences exist but impose
 		// no initiation bound (e.g. pure anti-dependences).
 		return 0, 1
 	}
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		if positiveCycle(1, mid) {
+		if positiveCycle(edges, dist, 1, mid) {
 			lo = mid
 		} else {
 			hi = mid
@@ -131,7 +104,7 @@ func (g *Graph) RecurrenceRatioExcluding(exclude func(*ir.Op) bool) (num, den in
 	for d := 2; d <= maxDen; d++ {
 		// Smallest numerator nn with nn/d > lo and no positive cycle.
 		for nn := lo*d + 1; nn <= hi*d; nn++ {
-			if !positiveCycle(d, nn) {
+			if !positiveCycle(edges, dist, d, nn) {
 				if nn*bestDen < bestNum*d {
 					bestNum, bestDen = nn, d
 				}
@@ -140,6 +113,54 @@ func (g *Graph) RecurrenceRatioExcluding(exclude func(*ir.Op) bool) (num, den in
 		}
 	}
 	return bestNum, bestDen
+}
+
+// positiveCycle reports whether the edge weights a·lat − b·dist admit a
+// positive cycle, i.e. whether some cycle has lat/dist > b/a, so the
+// candidate ratio b/a is infeasible as an II. It runs Bellman-Ford from a
+// virtual source over len(dist) nodes; dist is scratch, overwritten.
+func positiveCycle(edges []Edge, dist []int64, a, b int) bool {
+	clear(dist)
+	for iter := 0; iter < len(dist); iter++ {
+		changed := false
+		for _, e := range edges {
+			w := int64(a*e.Lat - b*e.Dist)
+			if dist[e.From]+w > dist[e.To] {
+				dist[e.To] = dist[e.From] + w
+				changed = true
+			}
+		}
+		if !changed {
+			return false
+		}
+	}
+	// One more relaxation round: any further improvement proves a
+	// positive cycle.
+	for _, e := range edges {
+		w := int64(a*e.Lat - b*e.Dist)
+		if dist[e.From]+w > dist[e.To] {
+			return true
+		}
+	}
+	return false
+}
+
+// MinFeasibleII returns the smallest II in [lo, hi) at which the edge
+// weights lat − II·dist admit no positive cycle, or hi if there is none.
+// No schedule can satisfy every edge at a smaller II: summed around any
+// cycle, the edge constraints give 0 ≥ Σ(lat − II·dist). Feasibility is
+// monotone in II (distances are non-negative), so the search is binary.
+func (g *Graph) MinFeasibleII(lo, hi int) int {
+	dist := make([]int64, len(g.Ops))
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if positiveCycle(g.Edges, dist, 1, mid) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // MII returns the integer minimum initiation interval for modulo

@@ -28,8 +28,8 @@ type Writer struct {
 	crc hash.Hash32
 	off int64
 
-	dim    int
-	meta   Meta
+	dim     int
+	meta    Meta
 	scratch []byte
 
 	// current chunk accumulation, column-major

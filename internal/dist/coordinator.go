@@ -105,10 +105,10 @@ type Coordinator struct {
 	cfg    CoordinatorConfig
 	corpus *loopgen.Corpus
 
-	mu      sync.Mutex
-	shards  []*shardState
-	byName  map[string]int // benchmark name → shard id (upload validation)
-	workers map[string]*workerState
+	mu         sync.Mutex
+	shards     []*shardState
+	byName     map[string]int // benchmark name → shard id (upload validation)
+	workers    map[string]*workerState
 	fence      uint64 // monotonic fencing-token counter
 	doneN      int
 	failure    error // sticky: a poison shard aborts the run

@@ -76,10 +76,10 @@ func FuzzShardWire(f *testing.F) {
 func FuzzMergeManifest(f *testing.F) {
 	rec := testRecordJSON(0, 1)
 	f.Add([]byte(rec + "\n" + testRecordJSON(1, 2) + "\n"))
-	f.Add([]byte(rec + "\n" + rec[:len(rec)/2]))          // torn tail
-	f.Add([]byte(rec + "\n" + rec + "\n"))                // duplicate shard
-	f.Add([]byte("\n\n" + rec + "\n"))                    // blank lines
-	f.Add([]byte(`{"shard":-1,"fence":1}` + "\n"))        // invalid record
+	f.Add([]byte(rec + "\n" + rec[:len(rec)/2]))   // torn tail
+	f.Add([]byte(rec + "\n" + rec + "\n"))         // duplicate shard
+	f.Add([]byte("\n\n" + rec + "\n"))             // blank lines
+	f.Add([]byte(`{"shard":-1,"fence":1}` + "\n")) // invalid record
 	f.Add([]byte(`{"shard":0,"fence":0,"file":"x"}` + "\n"))
 	f.Add([]byte(strings.Repeat("x", 4096)))
 	f.Add([]byte(""))

@@ -284,6 +284,12 @@ func (t *Timer) compileLoop(l *ir.Loop, u int) (*compiled, error) {
 	return t.compileLoopShared(l, u, t.sharedFor(l))
 }
 
+// graphPool recycles dependence graphs across (loop, u) compiles, as sched
+// and swp pool their scratch: a compile rebuilds a pooled graph in place and
+// returns it once the variant is priced, since nothing the compile returns
+// refers to the graph.
+var graphPool = sync.Pool{New: func() any { return new(analysis.Graph) }}
+
 // compileLoopShared compiles (l, u) with ls carrying the loop-level work
 // shared across factors. Passing a fresh, unshared loopShared reproduces the
 // old independent-per-factor compile exactly — the bit-identity test relies
@@ -293,12 +299,16 @@ func (t *Timer) compileLoopShared(l *ir.Loop, u int, ls *loopShared) (*compiled,
 	if err := ls.validated(l); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	unrolled, info, err := transform.UnrollPrechecked(l, u)
+	unrolled, _, err := transform.UnrollPrechecked(l, u)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	m := cfg.Mach
-	g := analysis.Build(unrolled, m)
+	g := graphPool.Get().(*analysis.Graph).Reset(unrolled, m)
+	defer func() {
+		g.Loop, g.Ops = nil, nil
+		graphPool.Put(g)
+	}()
 
 	usePipeline := cfg.SWP && !unrolled.EarlyExit && !hasCalls(unrolled)
 
@@ -399,7 +409,6 @@ func (t *Timer) compileLoopShared(l *ir.Loop, u int, ls *loopShared) (*compiled,
 	perEntry += coldPenalty
 
 	stats.Period = perEntry / float64(trip)
-	_ = info
 	return &compiled{perEntry: perEntry, stats: stats}, nil
 }
 
@@ -448,7 +457,11 @@ func (t *Timer) rolledRemainder(l *ir.Loop) (float64, error) {
 // body: the exact resource bound plus the rolled loop's recurrence ratio
 // scaled by the unroll factor (the induction-variable update is excluded —
 // unrolling folds it). The recurrence ratio comes from the shared per-loop
-// state, so only the first factor pays the rolled-body analysis.
+// state, so only the first factor pays the rolled-body analysis. In bodies
+// that are not alias-free the estimate can fall far below the unrolled
+// body's own recurrence bound: memory-ordering edges between the unrolled
+// copies form longer recurrences. swp.Schedule corrects for this exactly,
+// by skipping the IIs those recurrences rule out.
 func pipelineMII(rolled *ir.Loop, g *analysis.Graph, u int, ls *loopShared, m *machine.Desc) int {
 	num, den := g.ResMII()
 	mii := (num + den - 1) / den

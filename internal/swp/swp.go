@@ -10,6 +10,7 @@ package swp
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -18,10 +19,10 @@ import (
 	"metaopt/internal/machine"
 )
 
-// state is the reusable scratch for one modulo-scheduling attempt. The II
-// search calls tryII many times per loop and the labeler pipelines every
-// candidate body, so the per-attempt slices are pooled; only the winning
-// cycle assignment is copied out into the Result.
+// state is the reusable scratch for one Schedule call. The II search calls
+// tryII many times per loop and the labeler pipelines every candidate body,
+// so the per-attempt slices are pooled; only the winning cycle assignment is
+// copied out into the Result.
 type state struct {
 	height   []int
 	cycle    []int
@@ -32,24 +33,21 @@ type state struct {
 	unitUse  [machine.NumUnitKinds][]int
 	finalUse [machine.NumUnitKinds][]int
 	issueUse []int
+
+	// Occupant sets of the modulo reservation table: a bitset of the placed
+	// ops per (unit kind, modulo slot) and, where issueLimited holds, per
+	// issue slot. Slot s's set is words [s·w, (s+1)·w), w = ⌈n/64⌉.
+	unitOcc  [machine.NumUnitKinds][]uint64
+	issueOcc []uint64
 }
 
 var statePool = sync.Pool{New: func() any { return new(state) }}
 
 // grow returns sl resliced to length n within capacity, zeroed, allocating
 // only when capacity is insufficient.
-func grow(sl []int, n int) []int {
+func grow[T any](sl []T, n int) []T {
 	if cap(sl) < n {
-		return make([]int, n)
-	}
-	sl = sl[:n]
-	clear(sl)
-	return sl
-}
-
-func growBool(sl []bool, n int) []bool {
-	if cap(sl) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	sl = sl[:n]
 	clear(sl)
@@ -73,8 +71,9 @@ type Result struct {
 
 // Schedule modulo-schedules the body of g, starting the II search at mii
 // (callers pass the analysis MII estimate; the search self-corrects upward
-// if the estimate is low). It fails only for pathological inputs where no
-// II up to the cap admits a schedule.
+// if the estimate is low, skipping the IIs g's recurrences rule out). It
+// fails only for pathological inputs where no II up to the cap admits a
+// schedule.
 func Schedule(g *analysis.Graph, mii int) (*Result, error) {
 	n := len(g.Ops)
 	if n == 0 {
@@ -86,10 +85,18 @@ func Schedule(g *analysis.Graph, mii int) (*Result, error) {
 	maxII := 4*mii + 64
 	st := statePool.Get().(*state)
 	defer statePool.Put(st)
-	var lastErr error
+	prioritize(g, st)
+	jumped := false
 	for ii := mii; ii <= maxII; ii++ {
 		cycles, ok := tryII(g, ii, st)
 		if !ok {
+			// A low estimate fails first on the recurrences: resume at
+			// the smallest II they admit. tryII accepts only schedules
+			// that satisfy every edge, so it fails at every II skipped.
+			if !jumped {
+				jumped = true
+				ii = g.MinFeasibleII(ii+1, maxII+1) - 1
+			}
 			continue
 		}
 		res := finish(g, ii, cycles)
@@ -97,11 +104,7 @@ func Schedule(g *analysis.Graph, mii int) (*Result, error) {
 			return res, nil
 		}
 		// Register overflow: retry at a higher II (less overlap, fewer
-		// simultaneously-live values); keep the best spilling schedule as
-		// a fallback.
-		if lastErr == nil {
-			lastErr = fmt.Errorf("swp: %s: register overflow at II=%d", g.Loop.Name, ii)
-		}
+		// simultaneously-live values).
 		if ii == maxII {
 			return res, nil
 		}
@@ -113,13 +116,12 @@ func Schedule(g *analysis.Graph, mii int) (*Result, error) {
 	return nil, fmt.Errorf("swp: %s: no feasible II in [%d,%d]", g.Loop.Name, mii, maxII)
 }
 
-// tryII attempts one iterative-modulo-scheduling pass at the given II
-// using the pooled scratch state.
-func tryII(g *analysis.Graph, ii int, st *state) ([]int, bool) {
+// prioritize fills st.order with the worklist priority: height (the
+// same-iteration critical path to sinks) descending, index ascending. It
+// does not depend on the II, so Schedule computes it once for every attempt.
+func prioritize(g *analysis.Graph, st *state) {
 	n := len(g.Ops)
 	m := g.Mach
-
-	// Height priority (same-iteration critical path to sinks).
 	height := grow(st.height, n)
 	st.height = height
 	for i := n - 1; i >= 0; i-- {
@@ -133,9 +135,27 @@ func tryII(g *analysis.Graph, ii int, st *state) ([]int, bool) {
 			}
 		}
 	}
+	order := grow(st.order, n)
+	st.order = order
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if height[a] != height[b] {
+			return height[b] - height[a]
+		}
+		return a - b
+	})
+}
+
+// tryII attempts one iterative-modulo-scheduling pass at the given II
+// using the pooled scratch state, in the priority order prioritize left.
+func tryII(g *analysis.Graph, ii int, st *state) ([]int, bool) {
+	n := len(g.Ops)
+	m := g.Mach
 
 	cycle := grow(st.cycle, n)
-	placed := growBool(st.placed, n)
+	placed := grow(st.placed, n)
 	prevTime := grow(st.prevTime, n)
 	st.cycle, st.placed, st.prevTime = cycle, placed, prevTime
 	for i := range prevTime {
@@ -143,21 +163,43 @@ func tryII(g *analysis.Graph, ii int, st *state) ([]int, bool) {
 	}
 
 	// Modulo reservation table: usage per unit kind per modulo slot, plus
-	// issue slots.
-	unitUse := st.unitUse
+	// issue slots, each with its set of occupants.
+	w := (n + 63) / 64
+	limited := issueLimited(m)
+	unitUse, unitOcc := st.unitUse, st.unitOcc
 	for k := range unitUse {
 		unitUse[k] = grow(unitUse[k], ii)
+		unitOcc[k] = grow(unitOcc[k], ii*w)
 	}
-	st.unitUse = unitUse
+	st.unitUse, st.unitOcc = unitUse, unitOcc
 	issueUse := grow(st.issueUse, ii)
 	st.issueUse = issueUse
+	issueOcc := st.issueOcc
+	if limited {
+		issueOcc = grow(issueOcc, ii*w)
+		st.issueOcc = issueOcc
+	}
 
 	reserve := func(op, at int, dir int) {
 		kind := m.UnitFor(g.Ops[op].Code)
+		word, bit := op/64, uint64(1)<<(op%64)
 		for j := 0; j < m.BlockCycles(g.Ops[op].Code); j++ {
-			unitUse[kind][(at+j)%ii] += dir
+			slot := (at + j) % ii
+			unitUse[kind][slot] += dir
+			if dir > 0 {
+				unitOcc[kind][slot*w+word] |= bit
+			} else {
+				unitOcc[kind][slot*w+word] &^= bit
+			}
 		}
 		issueUse[at%ii] += dir
+		if limited {
+			if dir > 0 {
+				issueOcc[at%ii*w+word] |= bit
+			} else {
+				issueOcc[at%ii*w+word] &^= bit
+			}
+		}
 	}
 	fits := func(op, at int) bool {
 		kind := m.UnitFor(g.Ops[op].Code)
@@ -180,21 +222,7 @@ func tryII(g *analysis.Graph, ii int, st *state) ([]int, bool) {
 		return true
 	}
 
-	// Worklist ordered by priority: height descending, index ascending —
-	// the same total order the former stable sort of 0..n-1 produced.
-	order := grow(st.order, n)
-	st.order = order
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		if height[a] != height[b] {
-			return height[b] - height[a]
-		}
-		return a - b
-	})
-
-	work := append(st.work[:0], order...)
+	work := append(st.work[:0], st.order...)
 	head := 0
 	budget := n * 16
 
@@ -237,12 +265,21 @@ func tryII(g *analysis.Graph, ii int, st *state) ([]int, bool) {
 		}
 
 		if forced {
-			// Evict resource conflicts at the target slot.
-			for other := 0; other < n; other++ {
-				if !placed[other] {
-					continue
+			// Evict resource conflicts at the target slot: the occupants
+			// of every unit slot op spans, plus those of its issue slot
+			// on issue-limited machines, in ascending op index.
+			kind := m.UnitFor(g.Ops[op].Code)
+			span := min(m.BlockCycles(g.Ops[op].Code), ii)
+			for wi := 0; wi < w; wi++ {
+				var evict uint64
+				for j := 0; j < span; j++ {
+					evict |= unitOcc[kind][(at+j)%ii*w+wi]
 				}
-				if conflicts(g, m, ii, other, cycle[other], op, at) {
+				if limited {
+					evict |= issueOcc[at%ii*w+wi]
+				}
+				for ; evict != 0; evict &= evict - 1 {
+					other := wi*64 + bits.TrailingZeros64(evict)
 					reserve(other, cycle[other], -1)
 					placed[other] = false
 					work = append(work, other)
@@ -304,50 +341,25 @@ func tryII(g *analysis.Graph, ii int, st *state) ([]int, bool) {
 	// Normalize so the earliest op is at cycle 0. Shifting every cycle by
 	// the same amount rotates the reservation table uniformly, which
 	// preserves feasibility.
-	min := cycle[0]
+	first := cycle[0]
 	for _, c := range cycle {
-		if c < min {
-			min = c
+		if c < first {
+			first = c
 		}
 	}
 	// The scratch cycle slice is reused by the next attempt; the winning
 	// schedule is copied out for the Result to own.
 	out := make([]int, n)
 	for i := range cycle {
-		out[i] = cycle[i] - min
+		out[i] = cycle[i] - first
 	}
 	return out, true
 }
 
-// conflicts reports whether two placed ops collide on a functional unit or
-// issue slot in the modulo reservation table.
-func conflicts(g *analysis.Graph, m *machine.Desc, ii int, a, aCyc, b, bCyc int) bool {
-	if a == b {
-		return false
-	}
-	// Issue-slot collision.
-	if aCyc%ii == bCyc%ii && issueLimited(g, m, ii, aCyc%ii) {
-		return true
-	}
-	ka := m.UnitFor(g.Ops[a].Code)
-	kb := m.UnitFor(g.Ops[b].Code)
-	if ka != kb {
-		return false
-	}
-	for i := 0; i < m.BlockCycles(g.Ops[a].Code); i++ {
-		for j := 0; j < m.BlockCycles(g.Ops[b].Code); j++ {
-			if (aCyc+i)%ii == (bCyc+j)%ii {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// issueLimited reports whether the issue slot at the given modulo time is
-// already at capacity.
-func issueLimited(g *analysis.Graph, m *machine.Desc, ii, slot int) bool {
-	// Conservative: treat issue conflicts as real only on narrow machines.
+// issueLimited reports whether forced placements on m also evict the ops
+// that share the target's modulo issue slot. That holds on machines that
+// issue at most two ops per cycle, whatever the slot's occupancy.
+func issueLimited(m *machine.Desc) bool {
 	return m.IssueWidth <= 2
 }
 

@@ -11,15 +11,15 @@ import (
 // the failure class independently of HTTP status numerology, so callers
 // switch on a code instead of memorizing which statuses the service emits.
 const (
-	CodeBadRequest    = "bad_request"    // 400: malformed or invalid request
-	CodeNotFound      = "not_found"      // 404: unknown route or model version
-	CodeConflict      = "conflict"       // 409: operation refused in the current state
-	CodeUnprocessable = "unprocessable"  // 422: request parsed but prediction failed
-	CodeOverCapacity  = "over_capacity"  // 429: rate or quota exceeded
-	CodeInternal      = "internal"       // 500: server-side failure (contained panic)
-	CodeBadGateway    = "bad_gateway"    // 502: intermediary failure
-	CodeUnavailable   = "unavailable"    // 503: load shed, drain, or breaker
-	CodeTimeout       = "timeout"        // 504: deadline exceeded server-side
+	CodeBadRequest    = "bad_request"   // 400: malformed or invalid request
+	CodeNotFound      = "not_found"     // 404: unknown route or model version
+	CodeConflict      = "conflict"      // 409: operation refused in the current state
+	CodeUnprocessable = "unprocessable" // 422: request parsed but prediction failed
+	CodeOverCapacity  = "over_capacity" // 429: rate or quota exceeded
+	CodeInternal      = "internal"      // 500: server-side failure (contained panic)
+	CodeBadGateway    = "bad_gateway"   // 502: intermediary failure
+	CodeUnavailable   = "unavailable"   // 503: load shed, drain, or breaker
+	CodeTimeout       = "timeout"       // 504: deadline exceeded server-side
 )
 
 // codeForStatus maps an HTTP status to its stable code. Unlisted statuses
