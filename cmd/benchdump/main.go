@@ -165,6 +165,10 @@ func suite() ([]struct {
 	}
 	um := unroll.Itanium2()
 	var queries [][]float64
+	var sources []string
+	for _, bm := range qc.Benchmarks {
+		sources = append(sources, bm.Sources...)
+	}
 collect:
 	for _, bm := range qc.Benchmarks {
 		for _, lp := range bm.Loops {
@@ -374,38 +378,67 @@ collect:
 			}
 		}},
 		{"ServeTracedRequest", func(b *testing.B) {
-			srv, err := serve.New(serve.Config{
-				Model:          pred,
-				CacheSize:      -1,
-				Workers:        2,
-				RequestTimeout: 30 * time.Second,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				srv.Shutdown(ctx)
-			}()
-			h := srv.Handler()
+			h := benchServer(b, pred)
 			bodies := make([][]byte, len(queries))
 			for i, q := range queries {
+				var err error
 				if bodies[i], err = json.Marshal(client.PredictRequest{Features: q}); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(bodies[i%len(bodies)]))
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, req)
-				if rec.Code != http.StatusOK {
-					b.Fatalf("predict: %d %s", rec.Code, rec.Body.String())
-				}
+				post(b, h, "/v1/predict", bodies[i%len(bodies)])
+			}
+		}},
+		// A 32-source batch on the uncached server: every loop is parsed,
+		// keyed, feature-extracted and predicted, as in perfbench's serve
+		// workload on a cache miss.
+		{"ServeSourceBatch", func(b *testing.B) {
+			h := benchServer(b, pred)
+			loops := make([]client.PredictRequest, 32)
+			for k := range loops {
+				loops[k].Source = sources[k]
+			}
+			body, err := json.Marshal(client.BatchRequest{Loops: loops})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post(b, h, "/v1/predict/batch", body)
 			}
 		}},
 	}, cleanup, nil
+}
+
+// benchServer starts an uncached two-worker server over pred, drained when
+// the benchmark run ends, and returns its handler.
+func benchServer(b *testing.B, pred *unroll.Predictor) http.Handler {
+	srv, err := serve.New(serve.Config{
+		Model:          pred,
+		CacheSize:      -1,
+		Workers:        2,
+		RequestTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	return srv.Handler()
+}
+
+// post sends body to path through h, failing the benchmark on a non-200.
+func post(b *testing.B, h http.Handler, path string, body []byte) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("%s: %d %s", path, rec.Code, rec.Body.String())
+	}
 }
 
 func run(out string) error {

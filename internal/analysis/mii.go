@@ -41,7 +41,8 @@ func (g *Graph) ResMII() (num, den int) {
 // The computation finds the smallest integer II admitting no positive cycle
 // under edge weights lat − II·dist (Bellman-Ford detection), then refines
 // the last interval [II−1, II] by testing den·lat − num·dist weights for
-// exact rational bounds with small denominators.
+// exact rational bounds with small denominators. Every pass runs on the
+// graph's cyclic core (see cyclicCore), which holds every cycle.
 func (g *Graph) RecurrenceRatio() (num, den int) {
 	return g.RecurrenceRatioExcluding(nil)
 }
@@ -79,7 +80,10 @@ func (g *Graph) RecurrenceRatioExcluding(exclude func(*ir.Op) bool) (num, den in
 	if !hasCarried {
 		return 0, 1
 	}
-
+	edges, n = cyclicCore(edges, n)
+	if n == 0 {
+		return 0, 1
+	}
 	dist := make([]int64, n)
 
 	// Binary search the smallest integer II with no positive cycle.
@@ -113,6 +117,80 @@ func (g *Graph) RecurrenceRatioExcluding(exclude func(*ir.Op) bool) (num, den in
 		}
 	}
 	return bestNum, bestDen
+}
+
+// cyclicCore peels edges over nodes [0, n) to their cyclic core: it drops
+// nodes left with no in-edge or no out-edge until none remains, renumbers
+// the survivors densely, and returns the edges among them and their count.
+// A node on a cycle keeps the cycle's in-edge and out-edge, so every cycle
+// survives, and positiveCycle answers the same over the core as over all
+// the edges, in fewer and shorter passes.
+func cyclicCore(edges []Edge, n int) ([]Edge, int) {
+	m := len(edges)
+	// One slab: remaining degrees, a fill cursor that becomes the worklist,
+	// id (0 while a node survives, -1 once peeled, then its core number),
+	// and CSR offsets and neighbours in both directions.
+	s := make([]int32, 6*n+2+2*m)
+	indeg, outdeg, cur, id := s[:n], s[n:2*n], s[2*n:3*n], s[3*n:4*n]
+	outOff, inOff := s[4*n:5*n+1], s[5*n+1:6*n+2]
+	outAdj, inAdj := s[6*n+2:6*n+2+m], s[6*n+2+m:]
+	for _, e := range edges {
+		outdeg[e.From]++
+		indeg[e.To]++
+	}
+	for v := 0; v < n; v++ {
+		outOff[v+1] = outOff[v] + outdeg[v]
+		inOff[v+1] = inOff[v] + indeg[v]
+	}
+	copy(cur, outOff)
+	for _, e := range edges {
+		outAdj[cur[e.From]] = int32(e.To)
+		cur[e.From]++
+	}
+	copy(cur, inOff)
+	for _, e := range edges {
+		inAdj[cur[e.To]] = int32(e.From)
+		cur[e.To]++
+	}
+	work := cur[:0]
+	peel := func(v int32) {
+		id[v] = -1
+		work = append(work, v)
+	}
+	for v := range int32(n) {
+		if indeg[v] == 0 || outdeg[v] == 0 {
+			peel(v)
+		}
+	}
+	for len(work) > 0 {
+		u := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, v := range outAdj[outOff[u]:outOff[u+1]] {
+			if indeg[v]--; indeg[v] == 0 && id[v] == 0 {
+				peel(v)
+			}
+		}
+		for _, w := range inAdj[inOff[u]:inOff[u+1]] {
+			if outdeg[w]--; outdeg[w] == 0 && id[w] == 0 {
+				peel(w)
+			}
+		}
+	}
+	// A survivor's remaining out-degree counts its edges into the core.
+	k, kept := int32(0), int32(0)
+	for v := range id {
+		if id[v] == 0 {
+			id[v], k, kept = k, k+1, kept+outdeg[v]
+		}
+	}
+	core := make([]Edge, 0, kept)
+	for _, e := range edges {
+		if id[e.From] >= 0 && id[e.To] >= 0 {
+			e.From, e.To = int(id[e.From]), int(id[e.To])
+			core = append(core, e)
+		}
+	}
+	return core, int(k)
 }
 
 // positiveCycle reports whether the edge weights a·lat − b·dist admit a
@@ -149,12 +227,17 @@ func positiveCycle(edges []Edge, dist []int64, a, b int) bool {
 // weights lat − II·dist admit no positive cycle, or hi if there is none.
 // No schedule can satisfy every edge at a smaller II: summed around any
 // cycle, the edge constraints give 0 ≥ Σ(lat − II·dist). Feasibility is
-// monotone in II (distances are non-negative), so the search is binary.
+// monotone in II (distances are non-negative), so the search is binary,
+// over the graph's cyclic core.
 func (g *Graph) MinFeasibleII(lo, hi int) int {
-	dist := make([]int64, len(g.Ops))
+	edges, n := cyclicCore(g.Edges, len(g.Ops))
+	if n == 0 {
+		return lo
+	}
+	dist := make([]int64, n)
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if positiveCycle(g.Edges, dist, 1, mid) {
+		if positiveCycle(edges, dist, 1, mid) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -189,17 +272,6 @@ func (g *Graph) HasRecurrence() bool {
 		}
 	}
 	return false
-}
-
-// CarriedEdges returns the loop-carried edges of the graph.
-func (g *Graph) CarriedEdges() []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.Dist > 0 {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 func ceilDiv(a, b int) int {

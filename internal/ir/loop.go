@@ -2,7 +2,7 @@ package ir
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Loop is a single innermost loop: the unit the system instruments, unrolls
@@ -218,22 +218,39 @@ func (l *Loop) Clone() *Loop {
 // String renders the loop. serve keys its prediction cache on the
 // rendering, so every header property the feature extractor reads, such
 // as noalias, must appear in it.
-func (l *Loop) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "loop %s (%s, nest %d, trip %d", l.Name, l.Lang, l.NestLevel, l.TripCount)
+func (l *Loop) String() string { return string(l.AppendText(nil)) }
+
+// AppendText appends the rendering String returns to b and returns the
+// extended slice; with enough capacity in b it does not allocate.
+func (l *Loop) AppendText(b []byte) []byte {
+	b = append(b, "loop "...)
+	b = append(b, l.Name...)
+	b = append(b, " ("...)
+	b = append(b, l.Lang.String()...)
+	b = append(b, ", nest "...)
+	b = strconv.AppendInt(b, int64(l.NestLevel), 10)
+	b = append(b, ", trip "...)
+	b = strconv.AppendInt(b, int64(l.TripCount), 10)
 	if l.EarlyExit {
-		sb.WriteString(", early-exit")
+		b = append(b, ", early-exit"...)
 	}
 	if l.NoAlias {
-		sb.WriteString(", noalias")
+		b = append(b, ", noalias"...)
 	}
-	sb.WriteString(") {\n")
+	b = append(b, ") {\n"...)
 	for _, p := range l.Params {
-		fmt.Fprintf(&sb, "  v%d = %s %s\n", p.ID, p.Code, p.Name)
+		b = append(b, "  "...)
+		b = strconv.AppendInt(append(b, 'v'), int64(p.ID), 10)
+		b = append(b, " = "...)
+		b = append(b, p.Code.String()...)
+		b = append(b, ' ')
+		b = append(b, p.Name...)
+		b = append(b, '\n')
 	}
 	for _, op := range l.Body {
-		fmt.Fprintf(&sb, "  %s\n", op)
+		b = append(b, "  "...)
+		b = op.appendText(b)
+		b = append(b, '\n')
 	}
-	sb.WriteString("}\n")
-	return sb.String()
+	return append(b, "}\n"...)
 }

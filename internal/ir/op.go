@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // ArgRef is a use of a value defined by another operation. Dist is the
 // iteration distance: 0 means the value produced in the same iteration,
@@ -55,28 +52,29 @@ func (m *MemRef) SpanElems() int {
 }
 
 // String renders the reference like "a[2i+1]".
-func (m *MemRef) String() string {
-	var sb strings.Builder
-	sb.WriteString(m.Array)
-	sb.WriteByte('[')
+func (m *MemRef) String() string { return string(m.appendText(nil)) }
+
+func (m *MemRef) appendText(b []byte) []byte {
+	b = append(b, m.Array...)
+	b = append(b, '[')
 	if m.Indirect {
-		sb.WriteString("ind:")
+		b = append(b, "ind:"...)
 	}
 	switch m.Stride {
 	case 0:
 	case 1:
-		sb.WriteString("i")
+		b = append(b, 'i')
 	default:
-		fmt.Fprintf(&sb, "%di", m.Stride)
+		b = strconv.AppendInt(b, int64(m.Stride), 10)
+		b = append(b, 'i')
 	}
 	if m.Offset != 0 || m.Stride == 0 {
 		if m.Offset >= 0 && m.Stride != 0 {
-			sb.WriteByte('+')
+			b = append(b, '+')
 		}
-		fmt.Fprintf(&sb, "%d", m.Offset)
+		b = strconv.AppendInt(b, int64(m.Offset), 10)
 	}
-	sb.WriteByte(']')
-	return sb.String()
+	return append(b, ']')
 }
 
 // Op is a single operation in a loop body. Operations form a DAG through
@@ -112,24 +110,30 @@ type Op struct {
 func (o *Op) IsFloat() bool { return o.Code.IsFloat() }
 
 // String renders the op for debugging, e.g. "v3 = fadd v1 v2@1".
-func (o *Op) String() string {
-	var sb strings.Builder
+func (o *Op) String() string { return string(o.appendText(nil)) }
+
+func (o *Op) appendText(b []byte) []byte {
 	if o.Code.HasResult() {
-		fmt.Fprintf(&sb, "v%d = ", o.ID)
+		b = strconv.AppendInt(append(b, 'v'), int64(o.ID), 10)
+		b = append(b, " = "...)
 	}
-	sb.WriteString(o.Code.String())
+	b = append(b, o.Code.String()...)
 	if o.Mem != nil {
-		sb.WriteByte(' ')
-		sb.WriteString(o.Mem.String())
+		b = append(b, ' ')
+		b = o.Mem.appendText(b)
 	}
 	for _, a := range o.Args {
-		fmt.Fprintf(&sb, " v%d", a.Op.ID)
+		b = append(b, ' ')
+		b = strconv.AppendInt(append(b, 'v'), int64(a.Op.ID), 10)
 		if a.Dist > 0 {
-			fmt.Fprintf(&sb, "@%d", a.Dist)
+			b = append(b, '@')
+			b = strconv.AppendInt(b, int64(a.Dist), 10)
 		}
 	}
 	if o.Predicated {
-		fmt.Fprintf(&sb, " (p%d)", o.PredID)
+		b = append(b, " (p"...)
+		b = strconv.AppendInt(b, int64(o.PredID), 10)
+		b = append(b, ')')
 	}
-	return sb.String()
+	return b
 }

@@ -122,11 +122,6 @@ func (lx *Lexer) Next() (Token, error) {
 		return Token{Kind: TokNumber, Text: lx.src[start:lx.pos], Pos: pos}, nil
 	}
 	lx.advance()
-	single := map[byte]Kind{
-		'{': TokLBrace, '}': TokRBrace, '(': TokLParen, ')': TokRParen,
-		'[': TokLBracket, ']': TokRBracket, ';': TokSemi, ',': TokComma,
-		'+': TokPlus, '-': TokMinus, '*': TokStar, '/': TokSlash,
-	}
 	switch c {
 	case '.':
 		if lx.peek() == '.' {
@@ -159,17 +154,29 @@ func (lx *Lexer) Next() (Token, error) {
 		}
 		return Token{Kind: TokGt, Text: ">", Pos: pos}, nil
 	}
-	if k, ok := single[c]; ok {
-		return Token{Kind: k, Text: string(c), Pos: pos}, nil
+	if k := punct[c]; k != TokEOF {
+		return Token{Kind: k, Text: lx.src[lx.pos-1 : lx.pos], Pos: pos}, nil
 	}
 	return Token{}, errf(pos, "unexpected character %q", string(c))
+}
+
+// punct maps each one-byte punctuation character to its kind; every other
+// byte maps to TokEOF. A table lookup and a substring of the source keep
+// the lexer's commonest tokens off the allocator.
+var punct = [256]Kind{
+	'{': TokLBrace, '}': TokRBrace, '(': TokLParen, ')': TokRParen,
+	'[': TokLBracket, ']': TokRBracket, ';': TokSemi, ',': TokComma,
+	'+': TokPlus, '-': TokMinus, '*': TokStar, '/': TokSlash,
 }
 
 // Tokenize lexes the whole input, returning all tokens up to and including
 // the EOF token.
 func Tokenize(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var toks []Token
+	return NewLexer(src).appendAll(nil)
+}
+
+// appendAll lexes the rest of the input onto toks, returning nil on error.
+func (lx *Lexer) appendAll(toks []Token) ([]Token, error) {
 	for {
 		t, err := lx.Next()
 		if err != nil {

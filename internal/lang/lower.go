@@ -79,11 +79,14 @@ type lowerer struct {
 	// loadCache maps memory locations to an earlier unpredicated load of
 	// the same location, for redundant load elimination. Stores and calls
 	// invalidate it.
-	loadCache map[string]*ir.Op
+	loadCache map[memLoc]*ir.Op
 }
 
-func loadKey(m *ir.MemRef) string {
-	return fmt.Sprintf("%s|%d|%d", m.Array, m.Stride, m.Offset)
+// memLoc identifies an affine memory location; as a struct map key it
+// costs no formatting per load.
+type memLoc struct {
+	array          string
+	stride, offset int
 }
 
 // invalidateLoads drops cached loads a store to array could alias. Calls
@@ -93,11 +96,11 @@ func (lw *lowerer) invalidateLoads(array string) {
 		return
 	}
 	if array == "" || !lw.loop.NoAlias {
-		lw.loadCache = map[string]*ir.Op{}
+		lw.loadCache = map[memLoc]*ir.Op{}
 		return
 	}
 	for k := range lw.loadCache {
-		if len(k) >= len(array) && k[:len(array)] == array && k[len(array)] == '|' {
+		if k.array == array {
 			delete(lw.loadCache, k)
 		}
 	}
@@ -256,7 +259,7 @@ func (lw *lowerer) lowerLoop() error {
 	if id, ok := fl.Hi.(*Ident); ok {
 		bound = ir.Use(lw.paramFor(id.Name, TypeLong))
 	} else {
-		bound = ir.Use(lw.constOp(fmt.Sprint(fl.Hi.(*NumLit).IntVal)))
+		bound = ir.Use(lw.constOp(strconv.Itoa(fl.Hi.(*NumLit).IntVal)))
 	}
 	cmp := l.NewOp(ir.OpCmp, ir.Use(ivAdd), bound)
 	cmp.FP = false
@@ -466,8 +469,9 @@ func (lw *lowerer) lowerExpr(e Expr) (ir.ArgRef, error) {
 		}
 		// Redundant load elimination: reuse an earlier load of the same
 		// location when no intervening store or call could have changed it.
+		loc := memLoc{mem.Array, mem.Stride, mem.Offset}
 		if !mem.Indirect {
-			if prev, ok := lw.loadCache[loadKey(mem)]; ok {
+			if prev, ok := lw.loadCache[loc]; ok {
 				return ir.Use(prev), nil
 			}
 		}
@@ -477,9 +481,9 @@ func (lw *lowerer) lowerExpr(e Expr) (ir.ArgRef, error) {
 		ld.FP = arr.elem.Float
 		if !mem.Indirect && lw.curPred == 0 {
 			if lw.loadCache == nil {
-				lw.loadCache = map[string]*ir.Op{}
+				lw.loadCache = map[memLoc]*ir.Op{}
 			}
-			lw.loadCache[loadKey(mem)] = ld
+			lw.loadCache[loc] = ld
 		}
 		return ir.Use(ld), nil
 	case *UnaryExpr:

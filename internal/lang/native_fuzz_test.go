@@ -10,17 +10,7 @@ import (
 // panic-free on arbitrary input, and anything that parses and lowers must
 // produce IR that passes validation.
 func FuzzParseLower(f *testing.F) {
-	seeds := []string{
-		"",
-		"kernel k { double a[]; for i = 0 .. 4 { a[i] = 0.0; } }",
-		"kernel k lang=c nest=2 entries=3 {\n param double a;\n double x[], y[];\n int idx[];\n noalias;\n for i = 0 .. 128 {\n  if (x[i] > a) { y[i] = x[i] * 2.0; } else { y[i] = y[idx[i]]; }\n  if (y[i] == 0.0) break;\n  call f();\n }\n}",
-		"kernel q lang=fortran { double a[], b[]; double s; for i = 0 .. 1024 { s = s + a[i]*b[i]; } }",
-		"kernel s lang=c { double a[], b[]; noalias; for i = 1 .. 511 { b[i] = a[i-1] + a[i] + a[i+1]; } }",
-		"/* comment */ kernel c { int k[]; for i = 0 .. 8 { k[i] = i; } } // trailing",
-		"kernel bad { for i = 0 .. { } }",
-		"kernel k { double a[]; for i = 0 .. 4 { a[i] = ",
-	}
-	for _, s := range seeds {
+	for _, s := range parseLowerSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -38,4 +28,16 @@ func FuzzParseLower(f *testing.F) {
 			}
 		}
 	})
+}
+
+// parseLowerSeeds seeds FuzzParseLower and FuzzLexMatchesParent.
+var parseLowerSeeds = []string{
+	"",
+	"kernel k { double a[]; for i = 0 .. 4 { a[i] = 0.0; } }",
+	"kernel k lang=c nest=2 entries=3 {\n param double a;\n double x[], y[];\n int idx[];\n noalias;\n for i = 0 .. 128 {\n  if (x[i] > a) { y[i] = x[i] * 2.0; } else { y[i] = y[idx[i]]; }\n  if (y[i] == 0.0) break;\n  call f();\n }\n}",
+	"kernel q lang=fortran { double a[], b[]; double s; for i = 0 .. 1024 { s = s + a[i]*b[i]; } }",
+	"kernel s lang=c { double a[], b[]; noalias; for i = 1 .. 511 { b[i] = a[i-1] + a[i] + a[i+1]; } }",
+	"/* comment */ kernel c { int k[]; for i = 0 .. 8 { k[i] = i; } } // trailing",
+	"kernel bad { for i = 0 .. { } }",
+	"kernel k { double a[]; for i = 0 .. 4 { a[i] = ",
 }

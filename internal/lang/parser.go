@@ -2,6 +2,7 @@ package lang
 
 import (
 	"strconv"
+	"sync"
 )
 
 // Parser is a recursive-descent parser for LoopLang.
@@ -10,9 +11,20 @@ type Parser struct {
 	pos  int
 }
 
+// tokPool recycles Parse's token buffers. No AST node holds a Token (nodes
+// keep Text substrings of the source and Pos values), so a buffer is free
+// once Parse returns; it is cleared first so it does not pin the source.
+var tokPool = sync.Pool{New: func() any { return new([]Token) }}
+
 // Parse parses a whole source file.
 func Parse(src string) (*File, error) {
-	toks, err := Tokenize(src)
+	bp := tokPool.Get().(*[]Token)
+	toks, err := NewLexer(src).appendAll((*bp)[:0])
+	defer func() {
+		clear(toks)
+		*bp = toks[:0]
+		tokPool.Put(bp)
+	}()
 	if err != nil {
 		return nil, err
 	}

@@ -371,3 +371,30 @@ func TestServeShadowFraction(t *testing.T) {
 		t.Errorf("mirrored %d of %d at fraction 0.5", rep.Mirrored, total)
 	}
 }
+
+// TestServeRecordsNoPhaseSpans checks that answering requests adds no
+// record to the process-wide research trace: it holds at most 65,536
+// records, so a long-running server would fill it and /debug/trace would
+// show only its first dispatches. Per-request traces time each request.
+func TestServeRecordsNoPhaseSpans(t *testing.T) {
+	defer obs.SetEnabled(true)()
+	pred := trainPredictor(t, unroll.NearNeighbor)
+	_, c := newTestServer(t, Config{Model: pred, RequestTimeout: 30 * time.Second})
+	ctx := context.Background()
+	feats := unroll.Features(parseKernel(t, testKernels[1]), unroll.Itanium2())
+
+	before, dropped := len(obs.DefaultTrace.Spans()), obs.DefaultTrace.Dropped()
+	if _, err := c.Predict(ctx, client.PredictRequest{Source: testKernels[0]}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Predict(ctx, client.PredictRequest{Features: feats}); err != nil {
+		t.Fatal(err)
+	}
+	batch := []client.PredictRequest{{Source: testKernels[2]}, {Features: feats}, {Source: testKernels[0]}}
+	if _, err := c.PredictBatch(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	if n, d := len(obs.DefaultTrace.Spans()), obs.DefaultTrace.Dropped(); n != before || d != dropped {
+		t.Errorf("serving recorded %d spans (%d dropped) in the research trace, want none", n-before, d-dropped)
+	}
+}

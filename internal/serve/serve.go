@@ -719,9 +719,6 @@ func (s *Server) runBatch(ar *batchArena) {
 	if s.preBatch != nil {
 		s.preBatch()
 	}
-	sp := obs.Begin("serve.microbatch")
-	defer sp.End()
-
 	live := ar.jobs[:0]
 	for _, j := range ar.jobs {
 		if err := j.ctx.Err(); err != nil {
@@ -781,45 +778,44 @@ func (s *Server) runBatch(ar *batchArena) {
 	}
 }
 
-// cacheKey canonicalizes a query for the LRU: the model fingerprint plus
-// either the parsed loop's IR rendering (so formatting differences in the
-// source don't split cache lines) or the raw feature vector.
-func cacheKey(fingerprint, kind string, payload []byte) string {
-	h := sha256.New()
-	h.Write([]byte(fingerprint))
-	h.Write([]byte{0})
-	h.Write([]byte(kind))
-	h.Write([]byte{0})
-	h.Write(payload)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// featBytesPool recycles the float64 little-endian scratch that feature
-// cache keys hash through — the bytes live only for the sha256 write, so a
-// per-call make was pure allocator churn on the feature-vector hot path.
-var featBytesPool = sync.Pool{
+// keyBytesPool recycles the scratch cache keys are hashed from: the bytes
+// live only for the sha256, so a per-call buffer was pure allocator churn
+// on both request paths.
+var keyBytesPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, 0, 8*unroll.NumFeatures)
+		b := make([]byte, 0, 1024)
 		return &b
 	},
 }
 
-// featureKey hashes a feature vector into its cache key through pooled
-// encoding scratch.
-func featureKey(fingerprint string, v []float64) string {
-	bp := featBytesPool.Get().(*[]byte)
-	b := *bp
-	if cap(b) < 8*len(v) {
-		b = make([]byte, 8*len(v))
-	}
-	b = b[:8*len(v)]
-	for i, f := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(f))
-	}
-	key := cacheKey(fingerprint, "feat", b)
+// cacheKey canonicalizes a query for the LRU: the hex sha256 of the model
+// fingerprint, the kind and the payload fill appends, NUL-separated. The
+// payload is either the parsed loop's IR rendering (so formatting
+// differences in the source don't split cache lines) or the raw feature
+// vector.
+func cacheKey(fingerprint, kind string, fill func([]byte) []byte) string {
+	bp := keyBytesPool.Get().(*[]byte)
+	b := append((*bp)[:0], fingerprint...)
+	b = append(b, 0)
+	b = append(b, kind...)
+	b = append(b, 0)
+	b = fill(b)
+	sum := sha256.Sum256(b)
+	b = hex.AppendEncode(b[:0], sum[:])
+	key := string(b)
 	*bp = b
-	featBytesPool.Put(bp)
+	keyBytesPool.Put(bp)
 	return key
+}
+
+// featureKey hashes a feature vector into its cache key.
+func featureKey(fingerprint string, v []float64) string {
+	return cacheKey(fingerprint, "feat", func(b []byte) []byte {
+		for _, f := range v {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+		}
+		return b
+	})
 }
 
 // newItem validates one request entry and prepares it for the queue.
@@ -849,7 +845,7 @@ func newItem(st *registry.Model, req client.PredictRequest) (it *item, status in
 	}
 	return &item{
 		loop: loop,
-		key:  cacheKey(st.Fingerprint(), "loop", []byte(loop.String())),
+		key:  cacheKey(st.Fingerprint(), "loop", loop.AppendText),
 	}, 0, nil
 }
 
