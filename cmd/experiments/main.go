@@ -32,7 +32,7 @@ func main() {
 		seed      = flag.Int64("seed", 2005, "corpus and measurement seed")
 		runs      = flag.Int("runs", 30, "measurement repetitions per timing")
 		svmCap    = flag.Int("svmcap", 0, "cap on Table 2 SVM LOOCV set (0 = full)")
-		trainCap  = flag.Int("traincap", 1500, "cap on SVM training set per speedup fold")
+		trainCap  = flag.Int("traincap", 1500, "cap on SVM training set per speedup fold (0 = no cap)")
 		workers   = flag.Int("workers", 0, "worker-pool width for parallel stages (0 = GOMAXPROCS, 1 = serial)")
 		quiet     = flag.Bool("q", false, "suppress the end-of-run telemetry summary")
 		asJSON    = flag.Bool("json", false, "emit results as JSON instead of rendered text")

@@ -23,7 +23,7 @@ type Config struct {
 	Scale     float64 // corpus scale (1.0 = full ~3500-loop corpus)
 	Runs      int     // measurement repetitions per timing (paper: 30)
 	SVMCap    int     // LOOCV set cap for Table 2's SVM (0 = full corpus)
-	TrainCap  int     // SVM training cap per Figure 4/5 fold
+	TrainCap  int     // SVM training cap per Figure 4/5 fold (0 = no cap)
 	SVMSample int     // subsample for greedy-SVM feature selection
 }
 

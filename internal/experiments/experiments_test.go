@@ -167,3 +167,13 @@ func TestTable1(t *testing.T) {
 		t.Errorf("table 1 render:\n%s", out)
 	}
 }
+
+// TestTrainCapZeroMeansNoCap: Config.TrainCap 0 reaches core.Speedups as
+// 0, its "no cap", and any other cap passes through unchanged.
+func TestTrainCapZeroMeansNoCap(t *testing.T) {
+	for _, c := range []int{0, 250, DefaultConfig().TrainCap} {
+		if got := speedupOptions(Config{Seed: 9, TrainCap: c}); got.TrainCap != c || got.Seed != 40 {
+			t.Errorf("TrainCap %d: fold options %+v", c, got)
+		}
+	}
+}

@@ -285,16 +285,17 @@ func speedupFigure(e *Env, swpOn bool) (*FigureSpeedupResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := core.DefaultSpeedupOptions()
-	opt.Seed = e.Cfg.Seed + 31
-	if e.Cfg.TrainCap > 0 {
-		opt.TrainCap = e.Cfg.TrainCap
-	}
-	sum, err := core.Speedups(c, lb, d, fs.Union, e.Timer(swpOn), opt)
+	sum, err := core.Speedups(c, lb, d, fs.Union, e.Timer(swpOn), speedupOptions(e.Cfg))
 	if err != nil {
 		return nil, err
 	}
 	return &FigureSpeedupResult{SWP: swpOn, Summary: sum}, nil
+}
+
+// speedupOptions returns the fold options for cfg: its training cap, where
+// 0 means no cap, and a seed derived from its own.
+func speedupOptions(cfg Config) core.SpeedupOptions {
+	return core.SpeedupOptions{TrainCap: cfg.TrainCap, Seed: cfg.Seed + 31}
 }
 
 // Render prints one row per benchmark plus the aggregates.

@@ -216,3 +216,32 @@ func TestOpString(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRejectsBadIDs: analyses index tables by op ID, so an ID
+// outside [0, MaxID) would make them index out of range and two ops sharing
+// an ID would have their data edges wired to the wrong op.
+func TestValidateRejectsBadIDs(t *testing.T) {
+	for name, corrupt := range map[string]func(l *Loop){
+		"out of range": func(l *Loop) { l.Body[1].ID = l.MaxID() },
+		"negative":     func(l *Loop) { l.Body[1].ID = -1 },
+		"repeated":     func(l *Loop) { l.Body[1].ID = l.Body[0].ID },
+		"param repeat": func(l *Loop) { l.Params[0].ID = l.Body[2].ID },
+	} {
+		l := buildDaxpy()
+		corrupt(l)
+		if err := l.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted\n%s", name, l)
+		}
+	}
+}
+
+// TestValidateForeignOpSharingAnID: an argument from another loop is
+// refused even when its ID names an op of this loop.
+func TestValidateForeignOpSharingAnID(t *testing.T) {
+	l1, l2 := buildDaxpy(), buildDaxpy()
+	l2.Body[2].Args[0] = Use(l1.Body[0])
+	err := l2.Validate()
+	if err == nil || !strings.Contains(err.Error(), "uses value from another loop") {
+		t.Errorf("Validate = %v, want a foreign-op error", err)
+	}
+}

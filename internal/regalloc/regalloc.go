@@ -47,10 +47,25 @@ type Result struct {
 
 	// SpillCycles is the modeled per-body cost of the spill code.
 	SpillCycles int
+
+	// The linear scan's scratch, kept for the next RunInto.
+	free   []int
+	active []activeIv
+}
+
+// activeIv is an interval holding a register during the linear scan.
+type activeIv struct {
+	idx int // index into Intervals
+	reg int
 }
 
 // Run allocates registers for a list-scheduled body.
-func Run(s *sched.Schedule) *Result {
+func Run(s *sched.Schedule) *Result { return RunInto(new(Result), s) }
+
+// RunInto is Run writing the allocation into res and returning it: res is
+// overwritten, reusing the capacity of Reg, Intervals and the linear
+// scan's scratch, so a warm res allocates nothing.
+func RunInto(res *Result, s *sched.Schedule) *Result {
 	g := s.Graph
 	m := g.Mach
 	length := s.Length
@@ -77,24 +92,24 @@ func Run(s *sched.Schedule) *Result {
 		availFP = 1
 	}
 
-	intervals := buildIntervals(s, length)
-	res := &Result{Reg: make([]int, len(g.Ops)), Intervals: intervals}
-	for i := range res.Reg {
-		res.Reg[i] = Unallocated
+	*res = Result{Reg: res.Reg[:0], Intervals: buildIntervals(res.Intervals[:0], s, length),
+		free: res.free, active: res.active}
+	for range g.Ops {
+		res.Reg = append(res.Reg, Unallocated)
 	}
 
-	res.allocateClass(intervals, false, availInt)
-	res.allocateClass(intervals, true, availFP)
+	res.allocateClass(false, availInt)
+	res.allocateClass(true, availFP)
 
 	res.SpillCycles = res.StoreOps*m.StoreLat + res.ReloadOps*m.IntLoadLat
 	return res
 }
 
-// buildIntervals derives live intervals from the schedule: definition to
-// last same-iteration use; loop-carried values stay live to the body end.
-func buildIntervals(s *sched.Schedule, length int) []Interval {
+// buildIntervals appends to out the live intervals of the schedule:
+// definition to last same-iteration use; loop-carried values stay live to
+// the body end.
+func buildIntervals(out []Interval, s *sched.Schedule, length int) []Interval {
 	g := s.Graph
-	var out []Interval
 	for i, op := range g.Ops {
 		if !op.Code.HasResult() {
 			continue
@@ -128,27 +143,12 @@ func buildIntervals(s *sched.Schedule, length int) []Interval {
 }
 
 // allocateClass runs linear scan over one register class.
-func (r *Result) allocateClass(intervals []Interval, fp bool, regs int) {
-	type activeIv struct {
-		idx int // index into intervals
-		reg int
-	}
-	var active []activeIv
-	free := make([]int, 0, regs)
+func (r *Result) allocateClass(fp bool, regs int) {
+	intervals := r.Intervals
+	active := r.active[:0]
+	free := r.free[:0]
 	for k := regs - 1; k >= 0; k-- {
 		free = append(free, k)
-	}
-
-	expire := func(start int) {
-		keep := active[:0]
-		for _, a := range active {
-			if intervals[a.idx].End >= start {
-				keep = append(keep, a)
-				continue
-			}
-			free = append(free, a.reg)
-		}
-		active = keep
 	}
 
 	for i := range intervals {
@@ -156,7 +156,16 @@ func (r *Result) allocateClass(intervals []Interval, fp bool, regs int) {
 		if iv.FP != fp {
 			continue
 		}
-		expire(iv.Start)
+		// Expire the intervals that ended before this one starts.
+		keep := active[:0]
+		for _, a := range active {
+			if intervals[a.idx].End >= iv.Start {
+				keep = append(keep, a)
+				continue
+			}
+			free = append(free, a.reg)
+		}
+		active = keep
 		if len(free) > 0 {
 			reg := free[len(free)-1]
 			free = free[:len(free)-1]
@@ -181,6 +190,7 @@ func (r *Result) allocateClass(intervals []Interval, fp bool, regs int) {
 			r.spill(iv, fp)
 		}
 	}
+	r.free, r.active = free, active
 }
 
 func (r *Result) spill(iv *Interval, fp bool) {

@@ -1,6 +1,7 @@
 package regalloc
 
 import (
+	"slices"
 	"testing"
 
 	"metaopt/internal/analysis"
@@ -173,5 +174,53 @@ func TestParamsReserveRegisters(t *testing.T) {
 	}
 	if r2.SpilledFP == 0 {
 		t.Error("expected spills with a single FP register and an FP parameter")
+	}
+}
+
+// TestRunIntoMatchesRun allocates every loop of the seed-2005 corpus at
+// scale 0.1, at every factor, into one reused Result and compares it with
+// a fresh Run. A register file of four per class makes most bodies spill.
+func TestRunIntoMatchesRun(t *testing.T) {
+	c, err := loopgen.Generate(loopgen.Options{Seed: 2005, LoopsScale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny := *machine.Itanium2()
+	tiny.IntRegs, tiny.FPRegs = 4, 4
+	var reused Result
+	spills := 0
+	for _, m := range []*machine.Desc{machine.Itanium2(), &tiny} {
+		for _, b := range c.Benchmarks {
+			for _, l := range b.Loops {
+				for u := transform.MaxFactor; u >= 1; u-- {
+					ul, _, err := transform.Unroll(l, u)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s := sched.List(analysis.Build(ul, m))
+					want := Run(s)
+					got := RunInto(&reused, s)
+					if !slices.Equal(got.Reg, want.Reg) || !slices.Equal(got.Intervals, want.Intervals) ||
+						got.SpilledInt != want.SpilledInt || got.SpilledFP != want.SpilledFP ||
+						got.ReloadOps != want.ReloadOps || got.StoreOps != want.StoreOps || got.SpillCycles != want.SpillCycles {
+						t.Fatalf("%s u=%d: RunInto %+v, Run %+v", l.Name, u, got, want)
+					}
+					spills += got.SpilledInt + got.SpilledFP
+				}
+			}
+		}
+	}
+	if spills == 0 {
+		t.Error("no loop spilled: the spill path went unchecked")
+	}
+}
+
+// TestRunIntoZeroAllocs pins a warm Result at zero allocations.
+func TestRunIntoZeroAllocs(t *testing.T) {
+	s := schedOf(t, daxpy, 8, machine.Itanium2())
+	var r Result
+	RunInto(&r, s)
+	if allocs := testing.AllocsPerRun(100, func() { RunInto(&r, s) }); allocs != 0 {
+		t.Errorf("RunInto allocates %v per run, want 0", allocs)
 	}
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package sim
+
+// raceEnabled reports a race-detector build: sync.Pool then drops a random
+// share of the objects put back, so allocation counts are not pinned.
+const raceEnabled = true

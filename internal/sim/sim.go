@@ -284,11 +284,36 @@ func (t *Timer) compileLoop(l *ir.Loop, u int) (*compiled, error) {
 	return t.compileLoopShared(l, u, t.sharedFor(l))
 }
 
-// graphPool recycles dependence graphs across (loop, u) compiles, as sched
-// and swp pool their scratch: a compile rebuilds a pooled graph in place and
-// returns it once the variant is priced, since nothing the compile returns
-// refers to the graph.
-var graphPool = sync.Pool{New: func() any { return new(analysis.Graph) }}
+// workspace is what one compile builds and discards: the unrolled loop,
+// its dependence graph and its register allocation. Workspaces are pooled
+// across (loop, u) compiles, as sched and swp pool their scratch: a compile
+// rebuilds one in place and returns it once the variant is priced, since
+// nothing the compile returns or caches refers into it.
+type workspace struct {
+	loop  ir.Loop
+	graph analysis.Graph
+	alloc regalloc.Result
+}
+
+var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
+
+// unroll borrows a workspace holding the validated loop l unrolled by u
+// and its dependence graph; return it with release.
+func (t *Timer) unroll(l *ir.Loop, u int) (*workspace, error) {
+	w := workspacePool.Get().(*workspace)
+	if _, err := transform.UnrollInto(&w.loop, l, u); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	w.graph.Reset(&w.loop, t.Cfg.Mach)
+	return w, nil
+}
+
+// release returns w to the pool, first dropping the graph's pointers into
+// the loop the next borrower rebuilds.
+func (w *workspace) release() {
+	w.graph.Loop, w.graph.Ops = nil, nil
+	workspacePool.Put(w)
+}
 
 // compileLoopShared compiles (l, u) with ls carrying the loop-level work
 // shared across factors. Passing a fresh, unshared loopShared reproduces the
@@ -299,16 +324,12 @@ func (t *Timer) compileLoopShared(l *ir.Loop, u int, ls *loopShared) (*compiled,
 	if err := ls.validated(l); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	unrolled, _, err := transform.UnrollPrechecked(l, u)
+	w, err := t.unroll(l, u)
 	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+		return nil, err
 	}
-	m := cfg.Mach
-	g := graphPool.Get().(*analysis.Graph).Reset(unrolled, m)
-	defer func() {
-		g.Loop, g.Ops = nil, nil
-		graphPool.Put(g)
-	}()
+	defer w.release()
+	unrolled, g, m := &w.loop, &w.graph, cfg.Mach
 
 	usePipeline := cfg.SWP && !unrolled.EarlyExit && !hasCalls(unrolled)
 
@@ -333,7 +354,7 @@ func (t *Timer) compileLoopShared(l *ir.Loop, u int, ls *loopShared) (*compiled,
 		stats.CodeBytes = m.CodeBytes(len(unrolled.Body) * (1 + r.Stages))
 	} else {
 		s := sched.List(g)
-		ra := regalloc.Run(s)
+		ra := regalloc.RunInto(&w.alloc, s)
 		bodyCycles = float64(s.Period + ra.SpillCycles)
 		stats.SpillCycles = ra.SpillCycles
 		stats.CodeBytes = m.CodeBytes(len(unrolled.Body) + ra.StoreOps + ra.ReloadOps)
@@ -427,15 +448,16 @@ func (t *Timer) rolledRemainder(l *ir.Loop) (float64, error) {
 		mRemHits.Inc()
 		return v, nil
 	}
-	rolled, _, err := transform.Unroll(l, 1)
+	// The caller's compile already validated l.
+	w, err := t.unroll(l, 1)
 	if err != nil {
 		return 0, err
 	}
-	g := analysis.Build(rolled, t.Cfg.Mach)
-	s := sched.List(g)
-	ra := regalloc.Run(s)
+	s := sched.List(&w.graph)
+	ra := regalloc.RunInto(&w.alloc, s)
 	mSchedules.Inc()
 	v = float64(s.Period + ra.SpillCycles)
+	w.release()
 	sh.mu.Lock()
 	if _, ok := sh.m[l]; ok {
 		v = sh.m[l]

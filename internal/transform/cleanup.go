@@ -1,10 +1,61 @@
 package transform
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"metaopt/internal/ir"
 )
+
+// scratch is the unroller's working memory, pooled so that unrolling and
+// cleaning a body allocates nothing once warm. Per-op tables are indexed
+// by op ID (ir.Loop.MaxID bounds them) instead of keyed by *ir.Op.
+type scratch struct {
+	// The replicated source ops, a source param's copy by ID, copy k's
+	// clone of source op ID at k*MaxID+ID, copy k's induction value.
+	repl, param, clone, ivValue []*ir.Op
+
+	pos []int32 // body position by op ID, -1 off the body
+
+	// The ops a pass drops, by ID: a load maps to the value replacing it,
+	// a store to the later store that supersedes it.
+	removed []ir.ArgRef
+
+	values  map[memLoc]ir.ArgRef // forwardLoads: the value at each location
+	covered map[memLoc]*ir.Op    // deadStores: the store overwriting a location later
+
+	keys   []groupKey // coalesce's groups in order of first appearance,
+	groups [][]*ir.Op // each in body order
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{values: map[memLoc]ir.ArgRef{}, covered: map[memLoc]*ir.Op{}}
+}}
+
+// grow returns s with length n and every element zero, reusing its
+// capacity when it suffices.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// positions fills s.pos with the body position of every op ID of l.
+func (s *scratch) positions(l *ir.Loop) []int32 {
+	pos := grow(s.pos, l.MaxID())
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, op := range l.Body {
+		pos[op.ID] = int32(i)
+	}
+	s.pos = pos
+	return pos
+}
 
 // applyCleanups runs the post-unroll optimizations in order: store→load and
 // load→load forwarding (cross-iteration scalar replacement), dead store
@@ -15,11 +66,11 @@ import (
 // merged access depend on the surviving wide access) without representing
 // the distinct element values — which is exactly what the schedulers and
 // the cycle model need.
-func applyCleanups(l *ir.Loop, info *Info) {
-	forwardLoads(l, info)
-	deadStores(l, info)
-	coalesce(l, info, ir.OpLoad)
-	coalesce(l, info, ir.OpStore)
+func (s *scratch) applyCleanups(l *ir.Loop, info *Info) {
+	s.forwardLoads(l, info)
+	s.deadStores(l, info)
+	s.coalesce(l, info, ir.OpLoad)
+	s.coalesce(l, info, ir.OpStore)
 }
 
 // memLoc identifies an affine memory location. Using it as a map key
@@ -39,11 +90,9 @@ func locKey(m *ir.MemRef) memLoc {
 // forwardLoads replaces loads whose value is already available from an
 // earlier unpredicated load of, or store to, the same location in the same
 // unrolled body.
-func forwardLoads(l *ir.Loop, info *Info) {
-	type avail struct {
-		ref ir.ArgRef // the value at the location
-	}
-	values := map[memLoc]avail{}
+func (s *scratch) forwardLoads(l *ir.Loop, info *Info) {
+	values := s.values
+	clear(values)
 	killArray := func(array string) {
 		if array == "" || !l.NoAlias {
 			clear(values)
@@ -55,7 +104,9 @@ func forwardLoads(l *ir.Loop, info *Info) {
 			}
 		}
 	}
-	removed := map[*ir.Op]ir.ArgRef{}
+	removed := grow(s.removed, l.MaxID())
+	s.removed = removed
+	n := 0
 	for _, op := range l.Body {
 		switch op.Code {
 		case ir.OpCall:
@@ -66,11 +117,12 @@ func forwardLoads(l *ir.Loop, info *Info) {
 			}
 			key := locKey(op.Mem)
 			if v, ok := values[key]; ok {
-				removed[op] = v.ref
+				removed[op.ID] = v
+				n++
 				info.ForwardedLoads++
 				continue
 			}
-			values[key] = avail{ref: ir.Use(op)}
+			values[key] = ir.Use(op)
 		case ir.OpStore:
 			if op.Mem.Indirect {
 				killArray(op.Mem.Array)
@@ -87,40 +139,32 @@ func forwardLoads(l *ir.Loop, info *Info) {
 			if !l.NoAlias {
 				killArray("")
 			}
-			values[locKey(op.Mem)] = avail{ref: op.Args[len(op.Args)-1]}
+			values[locKey(op.Mem)] = op.Args[len(op.Args)-1]
 		}
 	}
-	if len(removed) == 0 {
-		return
+	if n > 0 {
+		s.rewrite(l)
 	}
-	rewrite(l, removed)
 }
 
-// rewrite redirects every use of the removed ops to their replacement
-// values (composing carried distances) and drops them from the body.
-func rewrite(l *ir.Loop, removed map[*ir.Op]ir.ArgRef) {
-	// Replacements may chain (a forwarded load replaced by another load
-	// that is itself forwarded); resolve transitively.
-	resolve := func(op *ir.Op, dist int) ir.ArgRef {
-		ref := ir.ArgRef{Op: op, Dist: dist}
-		for {
-			r, ok := removed[ref.Op]
-			if !ok {
-				return ref
-			}
-			ref = ir.ArgRef{Op: r.Op, Dist: ref.Dist + r.Dist}
-		}
-	}
+// rewrite redirects every use of the ops s.removed maps to their
+// replacement values (composing carried distances) and drops them from the
+// body.
+func (s *scratch) rewrite(l *ir.Loop) {
+	removed := s.removed
 	for _, op := range l.Body {
-		for i := range op.Args {
-			if _, ok := removed[op.Args[i].Op]; ok {
-				op.Args[i] = resolve(op.Args[i].Op, op.Args[i].Dist)
+		for i, a := range op.Args {
+			// Replacements may chain (a forwarded load replaced by another
+			// load that is itself forwarded); resolve transitively.
+			for r := removed[a.Op.ID]; r.Op != nil; r = removed[a.Op.ID] {
+				a = ir.ArgRef{Op: r.Op, Dist: a.Dist + r.Dist}
 			}
+			op.Args[i] = a
 		}
 	}
 	keep := l.Body[:0]
 	for _, op := range l.Body {
-		if _, dead := removed[op]; !dead {
+		if removed[op.ID].Op == nil {
 			keep = append(keep, op)
 		}
 	}
@@ -130,11 +174,14 @@ func rewrite(l *ir.Loop, removed map[*ir.Op]ir.ArgRef) {
 // deadStores removes stores overwritten by a later unconditional store to
 // the same location with no intervening read, exit or call that could
 // observe the earlier value.
-func deadStores(l *ir.Loop, info *Info) {
-	dead := map[*ir.Op]bool{}
+func (s *scratch) deadStores(l *ir.Loop, info *Info) {
+	removed := grow(s.removed, l.MaxID())
+	s.removed = removed
+	n := 0
 	// Backward scan: "covered" locations will be overwritten before any
 	// observation point.
-	covered := map[memLoc]bool{}
+	covered := s.covered
+	clear(covered)
 	for i := len(l.Body) - 1; i >= 0; i-- {
 		op := l.Body[i]
 		switch op.Code {
@@ -153,61 +200,67 @@ func deadStores(l *ir.Loop, info *Info) {
 				continue
 			}
 			key := locKey(op.Mem)
-			if covered[key] && !op.Predicated {
-				dead[op] = true
+			if later := covered[key]; later != nil && !op.Predicated {
+				removed[op.ID] = ir.Use(later)
+				n++
 				info.DeadStores++
 				continue
 			}
 			if !op.Predicated {
-				covered[key] = true
+				covered[key] = op
 			}
 		}
 	}
-	if len(dead) == 0 {
-		return
+	if n > 0 {
+		s.rewrite(l)
 	}
-	keep := l.Body[:0]
-	for _, op := range l.Body {
-		if !dead[op] {
-			keep = append(keep, op)
-		}
-	}
-	l.Body = keep
+}
+
+// groupKey identifies the accesses coalesce may pair.
+type groupKey struct {
+	array  string
+	stride int
+	bytes  int
+	float  bool
 }
 
 // coalesce merges pairs of unpredicated affine accesses to adjacent
 // elements of the same array into one wide access, provided no store or
 // call intervenes between the pair. Each access joins at most one pair.
-func coalesce(l *ir.Loop, info *Info, code ir.Opcode) {
-	pos := make(map[*ir.Op]int, len(l.Body))
-	for i, op := range l.Body {
-		pos[op] = i
-	}
-	type groupKey struct {
-		array  string
-		stride int
-		bytes  int
-		float  bool
-	}
-	groups := map[groupKey][]*ir.Op{}
+//
+// Groups are visited in order of first appearance. Any order gives the same
+// result: groups partition the candidates, and a pair's barrier scan reads
+// only opcodes, arrays and Indirect, which coalescing never changes. Each
+// group is built in body order and sorted by the same pdqsort the sort
+// package runs, so equal offsets keep one fixed order.
+func (s *scratch) coalesce(l *ir.Loop, info *Info, code ir.Opcode) {
+	pos := s.positions(l)
+	keys, groups := s.keys[:0], s.groups
 	for _, op := range l.Body {
 		if op.Code != code || op.Predicated || op.Mem.Indirect {
 			continue
 		}
 		k := groupKey{op.Mem.Array, op.Mem.Stride, op.Mem.Elem.Bytes, op.Mem.Elem.Float}
-		groups[k] = append(groups[k], op)
+		g := slices.Index(keys, k)
+		if g < 0 {
+			g = len(keys)
+			keys = append(keys, k)
+			if g == len(groups) {
+				groups = append(groups, nil)
+			}
+			groups[g] = groups[g][:0]
+		}
+		groups[g] = append(groups[g], op)
 	}
+	s.keys, s.groups = keys, groups
+
 	// Barrier positions between a candidate pair: calls always; stores that
 	// may touch the array; and — when merging stores, since the earlier
 	// store is delayed to the later one's position — loads that may read
 	// the array and side exits that would observe the missing store.
-	barrier := func(a, b int, array string) bool {
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		for i := lo + 1; i < hi; i++ {
-			op := l.Body[i]
+	barrier := func(a, b int32, array string) bool {
+		lo, hi := min(a, b), max(a, b)
+		for _, op := range l.Body[lo+1 : hi] {
 			switch op.Code {
 			case ir.OpCall:
 				return true
@@ -228,29 +281,31 @@ func coalesce(l *ir.Loop, info *Info, code ir.Opcode) {
 		return false
 	}
 
-	removedLoads := map[*ir.Op]ir.ArgRef{}
-	removedStores := map[*ir.Op]bool{}
-	for key, ops := range groups {
-		sort.Slice(ops, func(i, j int) bool { return ops[i].Mem.Offset < ops[j].Mem.Offset })
+	removed := grow(s.removed, l.MaxID())
+	s.removed = removed
+	n := 0
+	for g, key := range keys {
+		ops := groups[g]
+		slices.SortFunc(ops, func(a, b *ir.Op) int { return cmp.Compare(a.Mem.Offset, b.Mem.Offset) })
 		for i := 0; i+1 < len(ops); i++ {
 			a, b := ops[i], ops[i+1]
-			if removedIn(a, removedLoads, removedStores) || removedIn(b, removedLoads, removedStores) {
+			if removed[a.ID].Op != nil || removed[b.ID].Op != nil {
 				continue
 			}
 			if b.Mem.Offset != a.Mem.Offset+1 {
 				continue
 			}
-			if barrier(pos[a], pos[b], key.array) {
+			if barrier(pos[a.ID], pos[b.ID], key.array) {
 				continue
 			}
 			first, second := a, b
-			if pos[b] < pos[a] {
+			if pos[b.ID] < pos[a.ID] {
 				first, second = b, a
 			}
 			lowOff := a.Mem.Offset // a has the smaller offset after sorting
 			if code == ir.OpLoad {
 				// Keep the earlier load: the wide access satisfies both.
-				removedLoads[second] = ir.Use(first)
+				removed[second.ID] = ir.Use(first)
 				first.Mem.Offset = lowOff
 				first.Mem.Span = 2
 				info.CoalescedLoads++
@@ -258,32 +313,18 @@ func coalesce(l *ir.Loop, info *Info, code ir.Opcode) {
 				// Keep the later store so both values are defined by the
 				// time the wide store issues; it adopts the earlier
 				// store's inputs.
-				second.Args = append(second.Args, first.Args...)
+				merged := append(l.NewArgs(len(second.Args)+len(first.Args)), second.Args...)
+				second.Args = append(merged, first.Args...)
 				second.Mem.Offset = lowOff
 				second.Mem.Span = 2
-				removedStores[first] = true
+				removed[first.ID] = ir.Use(second)
 				info.CoalescedStores++
 			}
+			n++
 			i++ // the pair is consumed
 		}
 	}
-	if len(removedLoads) > 0 {
-		rewrite(l, removedLoads)
+	if n > 0 {
+		s.rewrite(l)
 	}
-	if len(removedStores) > 0 {
-		keep := l.Body[:0]
-		for _, op := range l.Body {
-			if !removedStores[op] {
-				keep = append(keep, op)
-			}
-		}
-		l.Body = keep
-	}
-}
-
-func removedIn(op *ir.Op, loads map[*ir.Op]ir.ArgRef, stores map[*ir.Op]bool) bool {
-	if _, ok := loads[op]; ok {
-		return true
-	}
-	return stores[op]
 }

@@ -9,6 +9,7 @@ package transform
 
 import (
 	"fmt"
+	"strconv"
 
 	"metaopt/internal/ir"
 )
@@ -42,66 +43,77 @@ func Unroll(l *ir.Loop, u int) (*ir.Loop, *Info, error) {
 // (the labeler compiles every loop at factors 1..MaxFactor). The output
 // is still validated.
 func UnrollPrechecked(l *ir.Loop, u int) (*ir.Loop, *Info, error) {
-	if u < 1 {
-		return nil, nil, fmt.Errorf("transform: unroll factor %d", u)
-	}
-	iv, cmp, br, err := loopControl(l)
+	out := new(ir.Loop)
+	info, err := UnrollInto(out, l, u)
 	if err != nil {
 		return nil, nil, err
 	}
+	return out, info, nil
+}
+
+// UnrollInto is UnrollPrechecked writing the unrolled loop into dst, which
+// it resets first and must not be l. A warm dst is rebuilt in place: apart
+// from the returned Info the unroller then allocates nothing, so a caller
+// that recycles dst (the labeler compiles every loop at every factor)
+// keeps the compile path off the heap.
+func UnrollInto(dst, l *ir.Loop, u int) (*Info, error) {
+	if u < 1 {
+		return nil, fmt.Errorf("transform: unroll factor %d", u)
+	}
+	iv, cmp, br, err := loopControl(l)
+	if err != nil {
+		return nil, err
+	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
 	info := &Info{U: u}
 	if u == 1 {
-		out := l.Clone()
-		info.IV = findByID(out, iv.ID)
-		applyCleanups(out, info)
-		return out, info, nil
+		l.CloneInto(dst)
+		info.IV = findByID(dst, iv.ID)
+		s.applyCleanups(dst, info)
+		return info, nil
 	}
 
-	out := ir.NewLoop(l.Name)
-	// Worst-case op count: u body copies, shared params, loop control and
-	// up to u-1 materialized IV adds with their constants. One slab block.
-	out.Reserve(len(l.Params) + u*len(l.Body) + 2*u + 3)
-	out.Benchmark = l.Benchmark
-	out.Lang = l.Lang
-	out.NestLevel = l.NestLevel
-	out.TripCount = l.TripCount
-	out.EarlyExit = l.EarlyExit
-	out.NoAlias = l.NoAlias
-	out.RuntimeTrip = l.RuntimeTrip
-	out.Entries = l.Entries
-
-	// Shared pseudo-ops.
-	paramMap := make(map[*ir.Op]*ir.Op, len(l.Params))
-	for _, p := range l.Params {
-		var np *ir.Op
-		if p.Code == ir.OpParam {
-			np = out.NewParam(p.Name)
-		} else {
-			np = out.NewConst(p.Name)
-		}
-		np.FP = p.FP
-		paramMap[p] = np
-	}
+	dst.Reset(l.Name)
+	dst.Benchmark, dst.Lang, dst.NestLevel, dst.TripCount = l.Benchmark, l.Lang, l.NestLevel, l.TripCount
+	dst.EarlyExit, dst.NoAlias, dst.RuntimeTrip, dst.Entries = l.EarlyExit, l.NoAlias, l.RuntimeTrip, l.Entries
 
 	// The replicated portion of the body: everything except loop control.
-	var repl []*ir.Op
+	repl := s.repl[:0]
 	maxPred := 0
 	for _, op := range l.Body {
 		if op == iv || op == cmp || op == br {
 			continue
 		}
 		repl = append(repl, op)
-		if op.PredID > maxPred {
-			maxPred = op.PredID
+		maxPred = max(maxPred, op.PredID)
+	}
+	s.repl = repl
+	// Worst-case op count: u body copies, shared params, loop control and
+	// up to u-1 materialized IV adds with their constants. One slab block.
+	dst.Reserve(len(l.Params) + u*len(l.Body) + 2*u + 3)
+
+	// ID-indexed tables: a source param's copy, copy k's clone of source
+	// op ID at k*n+ID, and copy k's materialized induction value.
+	n := l.MaxID()
+	s.param, s.clone, s.ivValue = grow(s.param, n), grow(s.clone, u*n), grow(s.ivValue, u)
+
+	// Shared pseudo-ops.
+	for _, p := range l.Params {
+		var np *ir.Op
+		if p.Code == ir.OpParam {
+			np = dst.NewParam(p.Name)
+		} else {
+			np = dst.NewConst(p.Name)
 		}
+		np.FP = p.FP
+		s.param[p.ID] = np
 	}
 
 	// Pass 1: clone u copies without arguments.
-	clones := make([]map[*ir.Op]*ir.Op, u)
 	for k := 0; k < u; k++ {
-		clones[k] = make(map[*ir.Op]*ir.Op, len(repl))
 		for _, op := range repl {
-			nc := out.NewOp(op.Code)
+			nc := dst.NewOp(op.Code)
 			nc.FP = op.FP
 			nc.Name = op.Name
 			nc.Predicated = op.Predicated
@@ -112,89 +124,87 @@ func UnrollPrechecked(l *ir.Loop, u int) (*ir.Loop, *Info, error) {
 				m := *op.Mem
 				m.Stride = op.Mem.Stride * u
 				m.Offset = op.Mem.Offset + op.Mem.Stride*k
-				nc.Mem = &m
+				nc.Mem = dst.NewMem(m)
 			}
-			clones[k][op] = nc
+			s.clone[k*n+op.ID] = nc
 		}
 	}
 
 	// New loop control: one induction update per unrolled body. Its
 	// constant names the step for readability.
-	step := out.NewConst(fmt.Sprint(u))
-	newIV := out.NewOp(ir.OpAdd, ir.Use(step))
+	step := dst.NewConst(strconv.Itoa(u))
+	newIV := dst.NewOp(ir.OpAdd)
 	newIV.Name = iv.Name
-	newIV.Args = append(newIV.Args, ir.Carried(newIV, 1))
+	newIV.Args = append(dst.NewArgs(2), ir.Use(step), ir.Carried(newIV, 1))
 	info.IV = newIV
-
-	// Per-copy materialization of the induction value (only built when a
-	// copy actually reads the IV as data).
-	ivValue := make([]*ir.Op, u)
-	ivFor := func(k int) ir.ArgRef {
-		if k == 0 {
-			return ir.Carried(newIV, 1)
-		}
-		if ivValue[k] == nil {
-			c := out.NewConst(fmt.Sprint(k))
-			add := out.NewOp(ir.OpAdd, ir.Carried(newIV, 1), ir.Use(c))
-			add.Name = fmt.Sprintf("%s+%d", iv.Name, k)
-			ivValue[k] = add
-		}
-		return ir.Use(ivValue[k])
-	}
 
 	// Pass 2: wire arguments.
 	for k := 0; k < u; k++ {
 		for _, op := range repl {
-			nc := clones[k][op]
+			nc := s.clone[k*n+op.ID]
+			nc.Args = dst.NewArgs(len(op.Args))
 			for _, a := range op.Args {
-				nc.Args = append(nc.Args, remapArg(a, k, u, iv, clones, paramMap, ivFor))
+				nc.Args = append(nc.Args, s.remapArg(dst, a, k, u, n, iv, newIV))
 			}
 		}
 	}
 
 	// Loop control tail: compare and back edge.
-	newCmp := out.NewOp(ir.OpCmp, ir.Use(newIV))
+	newCmp := dst.NewOp(ir.OpCmp)
 	newCmp.Name = cmp.Name
+	newCmp.Args = append(dst.NewArgs(len(cmp.Args)), ir.Use(newIV))
 	for _, a := range cmp.Args {
 		if a.Op == iv {
 			continue // already wired to the new IV
 		}
-		newCmp.Args = append(newCmp.Args, remapArg(a, u-1, u, iv, clones, paramMap, ivFor))
+		newCmp.Args = append(newCmp.Args, s.remapArg(dst, a, u-1, u, n, iv, newIV))
 	}
-	out.NewOp(ir.OpBr, ir.Use(newCmp))
+	newBr := dst.NewOp(ir.OpBr)
+	newBr.Args = append(dst.NewArgs(1), ir.Use(newCmp))
 
 	// Order the body so that every dist-0 use follows its definition: the
 	// materialized IV adds were appended out of order.
-	if err := reorder(out); err != nil {
-		return nil, nil, err
+	if err := s.reorder(dst); err != nil {
+		return nil, err
 	}
 
-	applyCleanups(out, info)
-	if err := out.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("transform: unroll %s by %d: %w", l.Name, u, err)
+	s.applyCleanups(dst, info)
+	if err := dst.Validate(); err != nil {
+		return nil, fmt.Errorf("transform: unroll %s by %d: %w", l.Name, u, err)
 	}
-	return out, info, nil
+	return info, nil
 }
 
-// remapArg translates an argument of the source op into copy k's body.
-func remapArg(a ir.ArgRef, k, u int, iv *ir.Op, clones []map[*ir.Op]*ir.Op,
-	paramMap map[*ir.Op]*ir.Op, ivFor func(int) ir.ArgRef) ir.ArgRef {
-	if np, ok := paramMap[a.Op]; ok {
+// remapArg translates an argument of the source op into copy k's body (n
+// is the source loop's MaxID).
+func (s *scratch) remapArg(dst *ir.Loop, a ir.ArgRef, k, u, n int, iv, newIV *ir.Op) ir.ArgRef {
+	if np := s.param[a.Op.ID]; np != nil {
 		return ir.ArgRef{Op: np, Dist: 0}
 	}
 	if a.Op == iv {
-		// Reading the induction value: copy k sees base+k.
-		return ivFor(k)
+		// Reading the induction value: copy k sees base+k, materialized
+		// the first time a copy reads it as data.
+		if k == 0 {
+			return ir.Carried(newIV, 1)
+		}
+		if s.ivValue[k] == nil {
+			c := dst.NewConst(strconv.Itoa(k))
+			add := dst.NewOp(ir.OpAdd)
+			add.Args = append(dst.NewArgs(2), ir.Carried(newIV, 1), ir.Use(c))
+			add.Name = iv.Name + "+" + strconv.Itoa(k)
+			s.ivValue[k] = add
+		}
+		return ir.Use(s.ivValue[k])
 	}
 	j := k - a.Dist
 	if j >= 0 {
-		return ir.Use(clones[j][a.Op])
+		return ir.Use(s.clone[j*n+a.Op.ID])
 	}
 	// Value from an earlier unrolled body: copy (j mod u), ceil(-j/u)
 	// bodies back.
 	dist := (-j + u - 1) / u
 	src := ((j % u) + u) % u
-	return ir.Carried(clones[src][a.Op], dist)
+	return ir.Carried(s.clone[src*n+a.Op.ID], dist)
 }
 
 // loopControl identifies the induction update, trip test and back edge.
@@ -242,28 +252,32 @@ func findByID(l *ir.Loop, id int) *ir.Op {
 
 // reorder topologically sorts the body by dist-0 argument edges, keeping
 // the original relative order where possible (memory ordering must be
-// preserved: it is encoded positionally).
-func reorder(l *ir.Loop) error {
+// preserved: it is encoded positionally). Kahn's algorithm places the ready
+// op of smallest position first, so without a forward dist-0 edge the order
+// is the identity: only bodies whose copies read the induction value as
+// data (the materialized iv+k adds follow the clones) are reordered.
+func (s *scratch) reorder(l *ir.Loop) error {
 	n := len(l.Body)
-	index := make(map[*ir.Op]int, n)
+	pos := s.positions(l)
+	forward := false
 	for i, op := range l.Body {
-		index[op] = i
+		for _, a := range op.Args {
+			forward = forward || a.Dist == 0 && pos[a.Op.ID] >= int32(i)
+		}
+	}
+	if !forward {
+		return nil
 	}
 	indeg := make([]int, n)
 	succs := make([][]int, n)
 	for i, op := range l.Body {
 		for _, a := range op.Args {
-			if a.Dist != 0 {
-				continue
-			}
-			if j, ok := index[a.Op]; ok {
+			if j := pos[a.Op.ID]; a.Dist == 0 && j >= 0 {
 				succs[j] = append(succs[j], i)
 				indeg[i]++
 			}
 		}
 	}
-	// Kahn's algorithm with a position-ordered frontier keeps the body
-	// stable.
 	var order []int
 	frontier := make([]bool, n)
 	for i, d := range indeg {
