@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"metaopt/internal/par"
@@ -29,10 +30,11 @@ const (
 )
 
 // NewCholesky factors the symmetric positive definite matrix a in place:
-// only the lower triangle of a is read, and on return a holds L with its
-// upper triangle zeroed. The Cholesky shares that storage, so a must not
-// be used afterwards. It returns ErrNotPositiveDefinite when a
-// non-positive pivot is encountered.
+// only the lower triangle of a is read, and on return a holds L in its
+// lower triangle and Lᵀ in its upper one, so that row i holds both L's row
+// and L's column i from the diagonal on. The Cholesky shares that storage,
+// so a must not be used afterwards. It returns ErrNotPositiveDefinite when
+// a non-positive pivot is encountered.
 //
 // The factorization is left-looking over panels of cholPanel columns, and
 // its work items are strips of cholRows rows, handed to the worker pool in
@@ -43,8 +45,10 @@ const (
 // held up delays only the strips that need its rows. Every L[i][j] starts
 // from a[i][j], subtracts L[i][k]·L[j][k] for k = 0…j−1 in ascending order
 // and is divided by the pivot L[j][j] — the operations of the textbook
-// row-dot form — so the factor is bit-identical at every pool width, and
-// each a[i][j] is read once, just before L[i][j] replaces it.
+// row-dot form — so the factor is bit-identical at every pool width and on
+// either code path (useTile), and each a[i][j] is read once, just before
+// L[i][j] replaces it. A finished strip copies its columns of L into the
+// rows above as Lᵀ.
 func NewCholesky(a *Matrix) (*Cholesky, error) {
 	if a.Rows() != a.Cols() {
 		return nil, fmt.Errorf("linalg: Cholesky of non-square %dx%d matrix", a.Rows(), a.Cols())
@@ -56,48 +60,143 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 		done[s] = make(chan struct{})
 	}
 	var failed atomic.Bool // a bad pivot was met; strips that see it stop
+	var packs [][]float64  // per worker: its strip's rows, packed for tile4x8
+	if useTile {
+		packs = make([][]float64, par.Workers(strips))
+	}
 	// Strips are handed out in row order, so every strip a strip waits for
 	// is already held by a worker or finished.
-	par.ForEachWorkerQuiet(strips, func(_, s int) {
+	par.ForEachWorkerQuiet(strips, func(w, s int) {
 		defer close(done[s])
 		lo, hi := s*cholRows, min((s+1)*cholRows, n)
 		p0 := lo / cholPanel * cholPanel
+		var pk []float64
+		if packs != nil {
+			if packs[w] == nil {
+				packs[w] = make([]float64, cholRows*n)
+			}
+			pk = packs[w]
+		}
 		for q0 := 0; q0 < p0; q0 += cholPanel {
 			<-done[(q0+cholPanel)/cholRows-1] // the panel's last strip
 			if failed.Load() {
 				return
 			}
 			for j := q0; j < q0+cholPanel; j += cholGroup {
-				for i := lo; i < hi; i++ {
-					cholRow(a, i, j, j+cholGroup)
-				}
+				cholStrip(a, pk, lo, lo, hi, j)
 			}
 		}
 		if lo > p0 {
+			// Columns [p0, lo) of the diagonal panel belong to the strips
+			// above, which are done once the one just above is.
 			<-done[s-1]
 			if failed.Load() {
 				return
 			}
+			for j := p0; j < lo; j += cholGroup {
+				cholStrip(a, pk, lo, lo, hi, j)
+			}
 		}
-		for i := lo; i < hi; i++ {
-			cholRow(a, i, p0, i)
-			row := a.Row(i)
-			d := row[i]
-			for _, v := range row[:i] {
-				d -= v * v
+		// The strip's own columns, a group at a time: the group's 8×8
+		// diagonal block row by row, then the strip's rows below it.
+		for g := lo; g < hi; g += cholGroup {
+			end := min(g+cholGroup, hi)
+			k0 := 0 // the sums of the block's entries cover k < k0
+			if pk != nil && end-g == cholGroup {
+				cholBlock(a, pk[(g-lo)*n:], g)
+				k0 = g
 			}
-			if d <= 0 || math.IsNaN(d) {
-				failed.Store(true)
-				return
+			for i := g; i < end; i++ {
+				ri := a.Row(i)
+				for j := g; j < i; j++ {
+					cholFinish(ri, a.Row(j), k0, j)
+				}
+				d := ri[i]
+				for _, v := range ri[:i] {
+					d -= v * v
+				}
+				if d <= 0 || math.IsNaN(d) {
+					failed.Store(true)
+					return
+				}
+				ri[i] = math.Sqrt(d)
 			}
-			row[i] = math.Sqrt(d)
-			clear(row[i+1:])
+			cholStrip(a, pk, lo, end, hi, g)
+		}
+		// Every strip above is done, and no strip reads an upper triangle.
+		for j := 0; j < hi; j++ {
+			rj := a.Row(j)
+			for i := max(lo, j+1); i < hi; i++ {
+				rj[i] = a.data[i*n+j]
+			}
 		}
 	})
 	if failed.Load() {
 		return nil, ErrNotPositiveDefinite
 	}
 	return &Cholesky{l: a}, nil
+}
+
+// cholStrip computes L[i][j…j+cholGroup−1] for rows i0…hi−1 of the strip
+// starting at row lo, where rows j…j+cholGroup−1 and rows i0…hi−1 left of
+// j already hold L. Without a pack it runs cholRow on each row. With one,
+// each full quad of 4 rows runs tile4x8 over k < j against the group's 8
+// rows, with its own rows read from pk: 4·n floats per quad, from row lo
+// on, holding L[i+r][k] at 4·k+r and filled group by group as the strip's
+// columns become final. The group's own triangle and divisions then go
+// through cholFinish, and the group's columns are appended to pk. Rows
+// past the last full quad run cholRow.
+func cholStrip(a *Matrix, pk []float64, lo, i0, hi, j int) {
+	i := i0
+	if pk != nil {
+		n := a.cols
+		for ; i+4 <= hi; i += 4 {
+			q := pk[(i-lo)*n : (i-lo+4)*n]
+			var acc [32]float64
+			for r := range 4 {
+				for c, v := range a.Row(i + r)[j : j+cholGroup] {
+					acc[c*4+r] = v
+				}
+			}
+			tile4x8(&q[0], &a.data[j*n], n, j, &acc)
+			for r := range 4 {
+				ri := a.Row(i + r)
+				for c := range cholGroup {
+					ri[j+c] = acc[c*4+r]
+				}
+				for c := j; c < j+cholGroup; c++ {
+					cholFinish(ri, a.Row(c), j, c)
+					q[4*c+r] = ri[c]
+				}
+			}
+		}
+	}
+	for ; i < hi; i++ {
+		cholRow(a, i, j, j+cholGroup)
+	}
+}
+
+// cholBlock runs tile4x8 over k < g for the lower triangle of the 8×8
+// diagonal block whose rows g…g+7 hold L left of g: the block's two quads,
+// read from pk, against those same 8 rows. Lanes on or above the diagonal
+// are dropped.
+func cholBlock(a *Matrix, pk []float64, g int) {
+	n := a.cols
+	for q := 0; q < cholGroup; q += 4 {
+		var acc [32]float64
+		for r := range 4 {
+			for c, v := range a.Row(g + q + r)[g : g+q+r] {
+				acc[c*4+r] = v
+			}
+		}
+		tile4x8(&pk[q*n], &a.data[g*n], n, g, &acc)
+		for r := range 4 {
+			ri := a.Row(g + q + r)[g : g+q+r]
+			for c := range ri {
+				ri[c] = acc[c*4+r]
+			}
+		}
+	}
 }
 
 // cholRow computes L[i][j] for j0 ≤ j < j1 ≤ i in l, where rows j0…j1−1
@@ -146,43 +245,127 @@ func cholFinish(ri, rj []float64, k0, j int) {
 
 // Solve solves A·x = b given the factorization of A, returning x.
 func (c *Cholesky) Solve(b []float64) []float64 {
-	y := c.SolveLower(b)
-	return c.SolveUpper(y)
+	return c.SolveMany([][]float64{b})[0]
+}
+
+// SolveMany solves A·X = B for the columns bs of B, returning X's columns.
+// One forward and one backward pass over the factor serve every column,
+// and each column's entries keep the operations of Solve's substitutions,
+// so column r of the result is bit-identical to Solve(bs[r]).
+func (c *Cholesky) SolveMany(bs [][]float64) [][]float64 {
+	n, m := c.l.Rows(), len(bs)
+	x := make([]float64, n*m)
+	for r, b := range bs {
+		if len(b) != n {
+			panic(fmt.Sprintf("linalg: SolveMany length mismatch %d vs %d", len(b), n))
+		}
+		xc, w := chunk(x, n, m, r)
+		for i, v := range b {
+			xc[i*w+r%4] = v
+		}
+	}
+	c.forward(x, m)
+	c.backward(x, m)
+	out := make([][]float64, m)
+	for r := range out {
+		xc, w := chunk(x, n, m, r)
+		col := make([]float64, n)
+		for i := range col {
+			col[i] = xc[i*w+r%4]
+		}
+		out[r] = col
+	}
+	return out
+}
+
+// chunk returns the chunk of x holding column r of an n×m block and its
+// width w. Columns are stored four to a chunk, the last chunk narrower,
+// each chunk row by row: column r's entry i is at chunk[i·w + r%4].
+func chunk(x []float64, n, m, r int) ([]float64, int) {
+	r0 := r &^ 3
+	w := min(4, m-r0)
+	return x[r0*n : (r0+w)*n], w
 }
 
 // SolveLower solves L·y = b by forward substitution.
 func (c *Cholesky) SolveLower(b []float64) []float64 {
-	n := c.l.Rows()
-	if len(b) != n {
+	if n := c.l.Rows(); len(b) != n {
 		panic(fmt.Sprintf("linalg: SolveLower length mismatch %d vs %d", len(b), n))
 	}
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := c.l.Row(i)
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= row[k] * y[k]
-		}
-		y[i] = s / row[i]
-	}
+	y := slices.Clone(b)
+	c.forward(y, 1)
 	return y
 }
 
 // SolveUpper solves Lᵀ·x = y by back substitution.
 func (c *Cholesky) SolveUpper(y []float64) []float64 {
-	n := c.l.Rows()
-	if len(y) != n {
+	if n := c.l.Rows(); len(y) != n {
 		panic(fmt.Sprintf("linalg: SolveUpper length mismatch %d vs %d", len(y), n))
 	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= c.l.At(k, i) * x[k]
-		}
-		x[i] = s / c.l.At(i, i)
-	}
+	x := slices.Clone(y)
+	c.backward(x, 1)
 	return x
+}
+
+// forward overwrites the m columns chunked in y (see chunk) with the
+// solution of L·Y = B, one row of L at a time: each entry subtracts
+// L[i][k]·y[k] for k = 0…i−1 in ascending order and is divided by L[i][i].
+func (c *Cholesky) forward(y []float64, m int) {
+	n := c.l.Rows()
+	for i := range n {
+		row := c.l.Row(i)
+		for r := 0; r < m; r += 4 {
+			yc, w := chunk(y, n, m, r)
+			yi := yc[i*w : (i+1)*w]
+			subDots(yi, row[:i], yc, w)
+			for j := range yi {
+				yi[j] /= row[i]
+			}
+		}
+	}
+}
+
+// backward overwrites the m columns chunked in x with the solution of
+// Lᵀ·X = Y, from the last row up: each entry subtracts Lᵀ[i][k]·x[k] for
+// k = i+1…n−1 in ascending order, reading row i's upper triangle, and is
+// divided by L[i][i].
+func (c *Cholesky) backward(x []float64, m int) {
+	n := c.l.Rows()
+	for i := n - 1; i >= 0; i-- {
+		row := c.l.Row(i)
+		for r := 0; r < m; r += 4 {
+			xc, w := chunk(x, n, m, r)
+			xi := xc[i*w : (i+1)*w]
+			subDots(xi, row[i+1:], xc[(i+1)*w:], w)
+			for j := range xi {
+				xi[j] /= row[i]
+			}
+		}
+	}
+}
+
+// subDots subtracts l[k]·x[k·w+j] from s[j] for k = 0…len(l)−1 in
+// ascending order, for each of the chunk's w = len(s) columns.
+func subDots(s, l, x []float64, w int) {
+	if w == 4 {
+		s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+		for k, v := range l {
+			xk := x[4*k : 4*k+4]
+			s0 -= v * xk[0]
+			s1 -= v * xk[1]
+			s2 -= v * xk[2]
+			s3 -= v * xk[3]
+		}
+		s[0], s[1], s[2], s[3] = s0, s1, s2, s3
+		return
+	}
+	for j := range s {
+		sj := s[j]
+		for k, v := range l {
+			sj -= v * x[k*w+j]
+		}
+		s[j] = sj
+	}
 }
 
 // InverseDiagonal returns the diagonal of A⁻¹ in O(n³/6) by inverting the
@@ -192,26 +375,29 @@ func (c *Cholesky) SolveUpper(y []float64) []float64 {
 // Column j of M = L⁻¹ depends on L alone, so blocks of invBlock columns go
 // to the worker pool, largest (leftmost) first, and each is built in
 // per-worker scratch of invBlock·n floats: one contiguous pass over row i
-// of L serves every column of the block. Each M[i][j] keeps the k order of
-// forward substitution and each diag[j] sums its squares in ascending i,
-// so the result is bit-identical at every pool width.
+// of L serves every column of the block, and with useTile tile4x8 serves 8
+// rows at a time. Each M[i][j] keeps the k order of forward substitution
+// and each diag[j] sums its squares in ascending i, so the result is
+// bit-identical at every pool width and on either code path.
 func (c *Cholesky) InverseDiagonal() []float64 {
 	n := c.l.Rows()
 	diag := make([]float64, n)
 	blocks := (n + invBlock - 1) / invBlock
-	scratch := make([][]float64, par.Workers(blocks))
+	scratch := make([][][invBlock]float64, par.Workers(blocks))
+	tile := useTile
 	par.ForEachWorkerQuiet(blocks, func(w, b int) {
-		if scratch[w] == nil {
-			scratch[w] = make([]float64, invBlock*n)
-		}
 		j0 := b * invBlock
 		if j0+invBlock > n {
+			m := make([]float64, n)
 			for j := j0; j < n; j++ {
-				c.invColumn(j, scratch[w][:n], diag)
+				c.invColumn(j, m, diag)
 			}
 			return
 		}
-		c.invColumns(j0, scratch[w], diag)
+		if scratch[w] == nil {
+			scratch[w] = make([][invBlock]float64, n)
+		}
+		c.invColumns(j0, scratch[w], diag, tile)
 	})
 	return diag
 }
@@ -232,48 +418,86 @@ func (c *Cholesky) invColumn(j int, m, diag []float64) {
 	diag[j] = sumSq(m[j:])
 }
 
-// invColumns is invColumn for the invBlock columns j0…j0+3 at once, into
-// the four n-float slices of m. Column j0+c starts its sums at k = j0+c;
-// from k = j0+3 on all four share each load of L[i][k].
-func (c *Cholesky) invColumns(j0 int, m, diag []float64) {
+// invColumns is invColumn for the invBlock columns j0…j0+3 at once. It
+// holds the block negated, V = −M, k-major: v[k][c] = −M[k][j0+c]. Each
+// sum s of invColumn is then updated as s −= L[i][k]·V[k][c], which is
+// s + L[i][k]·M[k][c] bit for bit (x − y is x + (−y), and negation
+// commutes with rounding), and V[i][c] = s/L[i][i] is exactly
+// −(−s/L[i][i]). Column j0+c starts its sums at k = j0+c; from k = j0+3
+// on all four share each load of L[i][k]. With tile, rows go 8 at a time:
+// tile4x8 runs the k the 8 rows share, [j0+3, i), with the 4 columns as
+// lanes and the 8 rows of L as streams, then each row adds its terms in
+// [i, i+x) and divides, in row order. The remaining rows, and every row
+// without tile, run [j0+3, i) one row at a time. diag sums V², which is
+// M².
+func (c *Cholesky) invColumns(j0 int, v [][invBlock]float64, diag []float64, tile bool) {
 	n := c.l.Rows()
-	ms := [invBlock][]float64{m[:n], m[n : 2*n], m[2*n : 3*n], m[3*n : 4*n]}
 	for i := j0; i < j0+invBlock; i++ {
 		ri := c.l.Row(i)
-		for col := j0; col < i; col++ {
-			mc := ms[col-j0]
+		for col := 0; col < i-j0; col++ {
 			var s float64
-			for k := col; k < i; k++ {
-				s += ri[k] * mc[k]
+			for k := j0 + col; k < i; k++ {
+				s -= ri[k] * v[k][col]
 			}
-			mc[i] = -s / ri[i]
+			v[i][col] = s / ri[i]
 		}
-		ms[i-j0][i] = 1 / ri[i]
+		v[i][i-j0] = -1 / ri[i]
 	}
-	m0, m1, m2, m3 := ms[0], ms[1], ms[2], ms[3]
-	for i := j0 + invBlock; i < n; i++ {
+	k0 := j0 + invBlock - 1 // the first k all four columns share
+	i := j0 + invBlock
+	for ; tile && i+8 <= n; i += 8 {
+		var acc [32]float64
+		for x := range 8 {
+			invHead(c.l.Row(i+x), v, j0, (*[invBlock]float64)(acc[4*x:]))
+		}
+		tile4x8(&v[k0][0], &c.l.data[i*n+k0], n, i-k0, &acc)
+		for x := range 8 {
+			invFinish(c.l.Row(i+x), v, i, i+x, (*[invBlock]float64)(acc[4*x:]))
+		}
+	}
+	for ; i < n; i++ {
+		var s [invBlock]float64
 		ri := c.l.Row(i)
-		var s0, s1, s2, s3 float64
-		s0 += ri[j0] * m0[j0]
-		s0 += ri[j0+1] * m0[j0+1]
-		s1 += ri[j0+1] * m1[j0+1]
-		s0 += ri[j0+2] * m0[j0+2]
-		s1 += ri[j0+2] * m1[j0+2]
-		s2 += ri[j0+2] * m2[j0+2]
-		x := ri[j0+3 : i]
-		y0, y1, y2, y3 := m0[j0+3:][:len(x)], m1[j0+3:][:len(x)], m2[j0+3:][:len(x)], m3[j0+3:][:len(x)]
-		for k, v := range x {
-			s0 += v * y0[k]
-			s1 += v * y1[k]
-			s2 += v * y2[k]
-			s3 += v * y3[k]
+		invHead(ri, v, j0, &s)
+		invFinish(ri, v, k0, i, &s)
+	}
+	for col := range invBlock {
+		var s float64
+		for k := j0 + col; k < n; k++ {
+			x := v[k][col]
+			s += x * x
 		}
-		d := ri[i]
-		m0[i], m1[i], m2[i], m3[i] = -s0/d, -s1/d, -s2/d, -s3/d
+		diag[j0+col] = s
 	}
-	for col, mc := range ms {
-		diag[j0+col] = sumSq(mc[j0+col:])
+}
+
+// invHead starts the sums of row ri from zero with the terms k < j0+3 in
+// which not all of the block's columns take part: column c from k = j0+c.
+func invHead(ri []float64, v [][invBlock]float64, j0 int, s *[invBlock]float64) {
+	r, h := ri[j0:j0+3], v[j0:j0+3]
+	s[0] -= r[0] * h[0][0]
+	s[0] -= r[1] * h[1][0]
+	s[1] -= r[1] * h[1][1]
+	s[0] -= r[2] * h[2][0]
+	s[1] -= r[2] * h[2][1]
+	s[2] -= r[2] * h[2][2]
+}
+
+// invFinish adds row i's terms k0…i−1 to its sums s, in ascending k, and
+// stores V[i] = s/L[i][i].
+func invFinish(ri []float64, v [][invBlock]float64, k0, i int, s *[invBlock]float64) {
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	vs := v[k0:i]
+	// One length for both slices lets the loop index vs unchecked.
+	for k, x := range ri[k0:i][:len(vs)] {
+		vk := &vs[k]
+		s0 -= x * vk[0]
+		s1 -= x * vk[1]
+		s2 -= x * vk[2]
+		s3 -= x * vk[3]
 	}
+	d := ri[i]
+	v[i] = [invBlock]float64{s0 / d, s1 / d, s2 / d, s3 / d}
 }
 
 // sumSq returns Σ v² over v in ascending order.

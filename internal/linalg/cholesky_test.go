@@ -37,6 +37,18 @@ func rowDotCholesky(a *Matrix) (*Matrix, error) {
 	return l, nil
 }
 
+// withUpper returns l with Lᵀ copied into its upper triangle: the buffer
+// NewCholesky leaves.
+func withUpper(l *Matrix) *Matrix {
+	u := clone(l)
+	for i := 0; i < u.Rows(); i++ {
+		for j := 0; j < i; j++ {
+			u.Set(j, i, u.At(i, j))
+		}
+	}
+	return u
+}
+
 // columnInverseDiagonal builds M = L⁻¹ column by column, walking M's
 // columns, and sums each column's squares: the oracle for InverseDiagonal.
 func columnInverseDiagonal(l *Matrix) []float64 {
@@ -100,63 +112,157 @@ func requireSameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestCholeskyMatchesRowDot pins the panel factorization and the
-// column-block inverse diagonal to their row-dot and column-walking
-// oracles, bit for bit, at sizes that cut the 8-column groups, the 32-row
-// strips and the 128-column panels, under pool widths 1–3.
-func TestCholeskyMatchesRowDot(t *testing.T) {
-	sizes := []int{1, 2, 7, 8, 9, 33, 127, 128, 129, 161, 255, 257, 700}
+// cholSizes cut the 8-column groups, the 4-row quads, the 32-row strips
+// and the 128-column panels.
+func cholSizes() []int {
+	sizes := []int{1, 2, 3, 5, 7, 8, 9, 12, 13, 33, 127, 128, 129, 161, 255, 257, 700}
 	if testing.Short() {
 		sizes = sizes[:len(sizes)-1]
 	}
-	for _, n := range sizes {
-		a := lssvmMatrix(n, int64(n))
-		wantL, err := rowDotCholesky(a)
-		if err != nil {
-			t.Fatalf("n=%d: oracle: %v", n, err)
-		}
-		wantDiag := columnInverseDiagonal(wantL)
-		for _, w := range []int{1, 2, 3} {
-			restore := par.SetLimit(w)
-			work := clone(a)
-			ch, err := NewCholesky(work)
-			if err != nil {
-				restore()
-				t.Fatalf("n=%d width %d: %v", n, w, err)
+	return sizes
+}
+
+// TestCholeskyMatchesRowDot pins the panel factorization and the
+// column-block inverse diagonal to their row-dot and column-walking
+// oracles, bit for bit — L below the diagonal and Lᵀ above it — at sizes
+// that cut the groups, quads, strips and panels, under pool widths 1–3,
+// on the scalar loops and on the AVX leaf.
+func TestCholeskyMatchesRowDot(t *testing.T) {
+	for _, tile := range leafPaths() {
+		t.Run(pathName(tile), func(t *testing.T) {
+			defer withLeaf(tile)()
+			for _, n := range cholSizes() {
+				a := lssvmMatrix(n, int64(n))
+				wantL, err := rowDotCholesky(a)
+				if err != nil {
+					t.Fatalf("n=%d: oracle: %v", n, err)
+				}
+				wantDiag := columnInverseDiagonal(wantL)
+				wantLU := withUpper(wantL)
+				for _, w := range []int{1, 2, 3} {
+					restore := par.SetLimit(w)
+					work := clone(a)
+					ch, err := NewCholesky(work)
+					if err != nil {
+						restore()
+						t.Fatalf("n=%d width %d: %v", n, w, err)
+					}
+					name := fmt.Sprintf("n=%d width %d", n, w)
+					requireSameBits(t, name+": L", work.data, wantLU.data)
+					requireSameBits(t, name+": inverse diagonal", ch.InverseDiagonal(), wantDiag)
+					restore()
+				}
 			}
-			name := fmt.Sprintf("n=%d width %d", n, w)
-			requireSameBits(t, name+": L", work.data, wantL.data)
-			requireSameBits(t, name+": inverse diagonal", ch.InverseDiagonal(), wantDiag)
-			restore()
-		}
+		})
 	}
+}
+
+// TestSolveManyMatchesSolve pins the one-pass multi-column solve to a
+// per-column forward and back substitution over the row-dot oracle's L,
+// and Solve, SolveLower and SolveUpper to the same substitutions, bit for
+// bit, at the factorization test's sizes under pool widths 1–3, on both
+// code paths.
+func TestSolveManyMatchesSolve(t *testing.T) {
+	for _, tile := range leafPaths() {
+		t.Run(pathName(tile), func(t *testing.T) {
+			defer withLeaf(tile)()
+			for _, n := range cholSizes() {
+				a := lssvmMatrix(n, int64(n)+1)
+				l, err := rowDotCholesky(a)
+				if err != nil {
+					t.Fatalf("n=%d: oracle: %v", n, err)
+				}
+				rng := rand.New(rand.NewSource(int64(n)))
+				bs := make([][]float64, 9)
+				for r := range bs {
+					bs[r] = make([]float64, n)
+					for i := range bs[r] {
+						bs[r][i] = rng.NormFloat64()
+					}
+				}
+				for i := range bs[0] {
+					bs[0][i] = 1
+				}
+				for _, w := range []int{1, 2, 3} {
+					restore := par.SetLimit(w)
+					ch, err := NewCholesky(clone(a))
+					restore()
+					if err != nil {
+						t.Fatalf("n=%d width %d: %v", n, w, err)
+					}
+					xs := ch.SolveMany(bs)
+					for r, b := range bs {
+						name := fmt.Sprintf("n=%d width %d column %d", n, w, r)
+						y := substituteLower(l, b)
+						x := substituteUpper(l, y)
+						requireSameBits(t, name+": SolveLower", ch.SolveLower(b), y)
+						requireSameBits(t, name+": SolveUpper", ch.SolveUpper(y), x)
+						requireSameBits(t, name+": Solve", ch.Solve(b), x)
+						requireSameBits(t, name+": SolveMany", xs[r], x)
+					}
+				}
+			}
+		})
+	}
+}
+
+// substituteLower solves L·y = b by textbook forward substitution.
+func substituteLower(l *Matrix, b []float64) []float64 {
+	y := make([]float64, len(b))
+	for i := range y {
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= l.At(i, k) * y[k]
+		}
+		y[i] = s / l.At(i, i)
+	}
+	return y
+}
+
+// substituteUpper solves Lᵀ·x = y by back substitution down L's columns.
+func substituteUpper(l *Matrix, y []float64) []float64 {
+	n := len(y)
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < n; k++ {
+			s -= l.At(k, i) * x[k]
+		}
+		x[i] = s / l.At(i, i)
+	}
+	return x
 }
 
 // TestCholeskyRefusesLikeRowDot places a bad pivot in the first, a middle
 // and the last panel — in a panel's first strip and in later ones — and
 // checks the panel kernel refuses exactly when the oracle does, and, when
-// both accept, agrees with it bit for bit.
+// both accept, agrees with it bit for bit, on both code paths.
 func TestCholeskyRefusesLikeRowDot(t *testing.T) {
 	const n = 300 // panels [0,128), [128,256), [256,300); strips of 32 rows
 	base := lssvmMatrix(n, 3)
-	for _, p := range []int{0, 1, 130, 200, n - 1} {
-		for _, v := range []float64{0, -1, math.NaN(), 1e-3, 0.5, 2} {
-			a := clone(base)
-			a.Set(p, p, v)
-			wantL, wantErr := rowDotCholesky(a)
-			for _, w := range []int{1, 2, 3} {
-				restore := par.SetLimit(w)
-				work := clone(a)
-				_, err := NewCholesky(work)
-				restore()
-				if err != wantErr {
-					t.Fatalf("pivot %d = %v, width %d: err %v, oracle %v", p, v, w, err, wantErr)
-				}
-				if err == nil {
-					requireSameBits(t, fmt.Sprintf("pivot %d = %v, width %d: L", p, v, w), work.data, wantL.data)
+	for _, tile := range leafPaths() {
+		t.Run(pathName(tile), func(t *testing.T) {
+			defer withLeaf(tile)()
+			for _, p := range []int{0, 1, 130, 200, n - 1} {
+				for _, v := range []float64{0, -1, math.NaN(), 1e-3, 0.5, 2} {
+					a := clone(base)
+					a.Set(p, p, v)
+					wantL, wantErr := rowDotCholesky(a)
+					for _, w := range []int{1, 2, 3} {
+						restore := par.SetLimit(w)
+						work := clone(a)
+						_, err := NewCholesky(work)
+						restore()
+						if err != wantErr {
+							t.Fatalf("pivot %d = %v, width %d: err %v, oracle %v", p, v, w, err, wantErr)
+						}
+						if err == nil {
+							requireSameBits(t, fmt.Sprintf("pivot %d = %v, width %d: L", p, v, w), work.data, withUpper(wantL).data)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

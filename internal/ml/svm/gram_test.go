@@ -40,7 +40,8 @@ func evalGram(k Kernel, rows [][]float64) [][]float64 {
 }
 
 // requireGram fails unless rbfGram on ds yields the bandwidth want and,
-// entry by entry, the bits of per-pair Eval on rows.
+// entry by entry over the lower triangle and the diagonal (all the LS-SVM
+// factors), the bits of per-pair Eval on rows.
 func requireGram(t *testing.T, name string, ds *ml.Dataset, sigma, want float64, rows [][]float64) {
 	t.Helper()
 	_, kernel, gram := rbfGram(ds, sigma)
@@ -49,7 +50,7 @@ func requireGram(t *testing.T, name string, ds *ml.Dataset, sigma, want float64,
 	}
 	ref := evalGram(kernel, rows)
 	for i := range ref {
-		for j, v := range ref[i] {
+		for j, v := range ref[i][:i+1] {
 			if math.Float64bits(gram.At(i, j)) != math.Float64bits(v) {
 				t.Fatalf("%s sigma %v: K[%d][%d] = %v, Eval = %v", name, sigma, i, j, gram.At(i, j), v)
 			}
@@ -59,8 +60,9 @@ func requireGram(t *testing.T, name string, ds *ml.Dataset, sigma, want float64,
 
 // TestBlockedGramMatchesEval pins the Gram matrix built from the tiled
 // column distances to per-pair RBF.Eval on ApplyAll rows, at a fixed
-// bandwidth and at the median heuristic; and SMO, which trains on that
-// matrix, to an SMO run on the per-pair Eval matrix.
+// bandwidth and at the median heuristic; the full matrix SMO trains on,
+// that lower triangle mirrored, to the per-pair Eval matrix; and SMO to an
+// SMO run on the per-pair Eval matrix.
 func TestBlockedGramMatchesEval(t *testing.T) {
 	d := mltest.Clusters(100, 5, 4, 0.2, 13)
 	rows := ml.FitNorm(d.Columns()).ApplyAll(d)
@@ -77,6 +79,14 @@ func TestBlockedGramMatchesEval(t *testing.T) {
 		t.Fatalf("SMO kernel %v, want RBF with bandwidth %v", m.kernel, median)
 	}
 	k := evalGram(m.kernel, rows)
+	_, _, mirrored := smoGram(d)
+	for i := range k {
+		for j, v := range k[i] {
+			if math.Float64bits(mirrored[i][j]) != math.Float64bits(v) {
+				t.Fatalf("SMO's K[%d][%d] = %v, Eval = %v", i, j, mirrored[i][j], v)
+			}
+		}
+	}
 	codes := OneVsRest(ml.NumClasses)
 	rng := rand.New(rand.NewSource(2))
 	for bit, got := range m.bits {

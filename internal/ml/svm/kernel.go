@@ -39,9 +39,13 @@ func (Linear) Eval(a, b []float64) float64 { return linalg.Dot(a, b) }
 // builds the RBF kernel and its Gram matrix Kᵢⱼ = exp(−‖xᵢ−xⱼ‖²/(2σ²)) from
 // the tiled pairwise squared distances of the normalized columns. sigma ≤ 0
 // selects the median-distance bandwidth. The distances are exponentiated in
-// place, so the Gram matrix is the one n×n buffer the caller holds. Every
-// entry equals the kernel's Eval on the two examples' normalized rows bit
-// for bit: the distance is SqDist's, and the divisor is Eval's expression.
+// place, so the Gram matrix is the one n×n buffer the caller holds. Only
+// the lower triangle and the diagonal are exponentiated, since that is all
+// NewCholesky reads; the upper triangle keeps the squared distances. Every
+// entry of the lower triangle equals the kernel's Eval on the two
+// examples' normalized rows bit for bit: the distance is SqDist's, and the
+// divisor is Eval's expression. The distances are symmetric bit for bit,
+// so the lower triangle mirrored is the full Gram matrix (smoGram).
 func rbfGram(d *ml.Dataset, sigma float64) (*ml.Norm, RBF, *linalg.Matrix) {
 	cols := d.Columns()
 	norm := ml.FitNorm(cols)
@@ -51,8 +55,11 @@ func rbfGram(d *ml.Dataset, sigma float64) (*ml.Norm, RBF, *linalg.Matrix) {
 		sigma = medianSigmaDist(dist, n)
 	}
 	denom := 2 * sigma * sigma
-	for i, d2 := range dist {
-		dist[i] = math.Exp(-d2 / denom)
+	for i := range n {
+		row := dist[i*n : i*n+i+1]
+		for j, d2 := range row {
+			row[j] = math.Exp(-d2 / denom)
+		}
 	}
 	return norm, RBF{Sigma: sigma}, linalg.NewMatrixData(n, n, dist)
 }

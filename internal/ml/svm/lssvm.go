@@ -44,20 +44,24 @@ type Model struct {
 var _ ml.Classifier = (*Model)(nil)
 
 // system is the factored LS-SVM matrix A = K + I/γ over one dataset's RBF
-// Gram matrix, with u = A⁻¹·1 and s = 1ᵀu, which every output bit shares.
+// Gram matrix, with u = A⁻¹·1 and s = 1ᵀu, which every output bit shares,
+// and the solution (alpha, bias) of each target vector it was built for.
 type system struct {
 	norm   *ml.Norm
 	kernel RBF
 	ch     *linalg.Cholesky
 	u      []float64
 	s      float64
+	alpha  [][]float64 // [target][example]
+	bias   []float64   // [target]
 }
 
 // newSystem builds and factors the system for d with regularization gamma
 // (zero selects DefaultGamma) at bandwidth sigma (≤ 0 selects the median
-// heuristic). The Gram matrix is factored in place, so the system holds one
-// n×n buffer.
-func newSystem(d *ml.Dataset, gamma, sigma float64) (*system, error) {
+// heuristic), and solves it for the ones vector and every target vector in
+// ys in one pass over the factor. The Gram matrix is factored in place, so
+// the system holds one n×n buffer.
+func newSystem(d *ml.Dataset, gamma, sigma float64, ys [][]float64) (*system, error) {
 	if gamma <= 0 {
 		gamma = DefaultGamma
 	}
@@ -72,12 +76,17 @@ func newSystem(d *ml.Dataset, gamma, sigma float64) (*system, error) {
 	if err != nil {
 		return nil, fmt.Errorf("svm: kernel system not positive definite: %w", err)
 	}
-	u := ch.Solve(ones)
-	var s float64
-	for _, x := range u {
-		s += x
+	xs := ch.SolveMany(append([][]float64{ones}, ys...))
+	sys := &system{norm: norm, kernel: kernel, ch: ch, u: xs[0]}
+	for _, x := range sys.u {
+		sys.s += x
 	}
-	return &system{norm: norm, kernel: kernel, ch: ch, u: u, s: s}, nil
+	for _, v := range xs[1:] {
+		alpha, bias := sys.bit(v)
+		sys.alpha = append(sys.alpha, alpha)
+		sys.bias = append(sys.bias, bias)
+	}
+	return sys, nil
 }
 
 // looDiag returns (C⁻¹)ᵢᵢ = (A⁻¹)ᵢᵢ − uᵢ²/s for every example, where C is
@@ -91,19 +100,31 @@ func (sys *system) looDiag() []float64 {
 	return diag
 }
 
-// solveBit computes (a, b) for one binary subproblem with targets y.
-func (sys *system) solveBit(y []float64) (alpha []float64, bias float64) {
-	v := sys.ch.Solve(y)
+// bit computes (a, b) for one binary subproblem from v = A⁻¹·y.
+func (sys *system) bit(v []float64) (alpha []float64, bias float64) {
 	var sv float64
 	for _, x := range v {
 		sv += x
 	}
 	bias = sv / sys.s
-	alpha = make([]float64, len(y))
+	alpha = make([]float64, len(v))
 	for i := range alpha {
 		alpha[i] = v[i] - bias*sys.u[i]
 	}
 	return alpha, bias
+}
+
+// bitTargets returns the ±1 targets of every output-code bit for d.
+func bitTargets(d *ml.Dataset, codes Codes) [][]float64 {
+	ys := make([][]float64, codes.NumBits())
+	for bit := range ys {
+		y := make([]float64, d.Len())
+		for i, e := range d.Examples {
+			y[i] = codes.Target(e.Label, bit)
+		}
+		ys[bit] = y
+	}
+	return ys
 }
 
 // Train fits one binary machine per output-code bit.
@@ -117,21 +138,12 @@ func (t *LSSVM) train(d *ml.Dataset, sigma float64) (ml.Classifier, error) {
 		return nil, err
 	}
 	codes := t.Codes.orOneVsRest()
-	sys, err := newSystem(d, t.Gamma, sigma)
+	sys, err := newSystem(d, t.Gamma, sigma, bitTargets(d, codes))
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{norm: sys.norm, rows: sys.norm.ApplyAll(d), kernel: sys.kernel, codes: codes}
-	y := make([]float64, d.Len())
-	for bit := 0; bit < codes.NumBits(); bit++ {
-		for i, e := range d.Examples {
-			y[i] = codes.Target(e.Label, bit)
-		}
-		alpha, bias := sys.solveBit(y)
-		m.alpha = append(m.alpha, alpha)
-		m.bias = append(m.bias, bias)
-	}
-	return m, nil
+	return &Model{norm: sys.norm, rows: sys.norm.ApplyAll(d), kernel: sys.kernel, codes: codes,
+		alpha: sys.alpha, bias: sys.bias}, nil
 }
 
 // Predict classifies a raw feature vector.
@@ -183,7 +195,8 @@ func (t *LSSVM) loocv(d *ml.Dataset, sigma float64) ([]int, error) {
 		return nil, fmt.Errorf("svm: LOOCV needs at least 3 examples")
 	}
 	codes := t.Codes.orOneVsRest()
-	sys, err := newSystem(d, t.Gamma, sigma)
+	ys := bitTargets(d, codes)
+	sys, err := newSystem(d, t.Gamma, sigma, ys)
 	if err != nil {
 		return nil, err
 	}
@@ -193,12 +206,8 @@ func (t *LSSVM) loocv(d *ml.Dataset, sigma float64) ([]int, error) {
 	for i := range looScores {
 		looScores[i] = make([]float64, codes.NumBits())
 	}
-	y := make([]float64, n)
-	for bit := 0; bit < codes.NumBits(); bit++ {
-		for i, e := range d.Examples {
-			y[i] = codes.Target(e.Label, bit)
-		}
-		alpha, _ := sys.solveBit(y)
+	for bit, y := range ys {
+		alpha := sys.alpha[bit]
 		for i := range alpha {
 			if diagC[i] <= 0 {
 				// Numerically degenerate fold: fall back to the training

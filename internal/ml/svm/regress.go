@@ -44,12 +44,11 @@ func (t *Regression) Train(d *ml.Dataset) (ml.Classifier, error) {
 	if err := d.ValidateRows(); err != nil {
 		return nil, err
 	}
-	sys, err := newSystem(d, t.Gamma, 0)
+	sys, err := newSystem(d, t.Gamma, 0, [][]float64{labelTargets(d)})
 	if err != nil {
 		return nil, err
 	}
-	alpha, bias := sys.solveBit(labelTargets(d))
-	return &RegModel{norm: sys.norm, rows: sys.norm.ApplyAll(d), kernel: sys.kernel, alpha: alpha, bias: bias}, nil
+	return &RegModel{norm: sys.norm, rows: sys.norm.ApplyAll(d), kernel: sys.kernel, alpha: sys.alpha[0], bias: sys.bias[0]}, nil
 }
 
 // Value returns the raw real-valued prediction.
@@ -76,12 +75,12 @@ func (t *Regression) LOOCV(d *ml.Dataset) ([]int, error) {
 	if d.Len() < 3 {
 		return nil, fmt.Errorf("svm: regression LOOCV needs at least 3 examples")
 	}
-	sys, err := newSystem(d, t.Gamma, 0)
+	y := labelTargets(d)
+	sys, err := newSystem(d, t.Gamma, 0, [][]float64{y})
 	if err != nil {
 		return nil, err
 	}
-	y := labelTargets(d)
-	alpha, _ := sys.solveBit(y)
+	alpha := sys.alpha[0]
 	preds := make([]int, len(y))
 	for i, diagC := range sys.looDiag() {
 		if diagC <= 0 {

@@ -67,12 +67,8 @@ func (t *SMO) Train(d *ml.Dataset) (ml.Classifier, error) {
 	}
 
 	// The Gram matrix is computed once; all bits share it.
-	norm, kernel, gram := rbfGram(d, 0)
+	norm, kernel, k := smoGram(d)
 	n := d.Len()
-	k := make([][]float64, n)
-	for i := range k {
-		k[i] = gram.Row(i)
-	}
 
 	m := &smoModel{norm: norm, rows: norm.ApplyAll(d), kernel: kernel, codes: codes}
 	rng := rand.New(rand.NewSource(t.Seed + 1))
@@ -88,6 +84,21 @@ func (t *SMO) Train(d *ml.Dataset) (ml.Classifier, error) {
 		m.bits = append(m.bits, bin)
 	}
 	return m, nil
+}
+
+// smoGram returns the normalizer, the kernel and the rows of the full RBF
+// Gram matrix of d at the median-distance bandwidth: rbfGram's lower
+// triangle mirrored into the upper, since SMO reads whole rows.
+func smoGram(d *ml.Dataset) (*ml.Norm, RBF, [][]float64) {
+	norm, kernel, gram := rbfGram(d, 0)
+	k := make([][]float64, gram.Rows())
+	for i := range k {
+		k[i] = gram.Row(i)
+		for j, v := range k[i][:i] {
+			k[j][i] = v
+		}
+	}
+	return norm, kernel, k
 }
 
 // smoTrain is simplified SMO (Platt / Ng's CS229 variant) on a precomputed

@@ -231,6 +231,18 @@ func refReorder(l *ir.Loop) error {
 	return nil
 }
 
+// memLoc identifies an affine memory location: the map key of the
+// reference cleanups.
+type memLoc struct {
+	array  string
+	stride int
+	offset int
+}
+
+func locKey(m *ir.MemRef) memLoc {
+	return memLoc{m.Array, m.Stride, m.Offset}
+}
+
 func refCleanups(l *ir.Loop, info *Info) {
 	refForwardLoads(l, info)
 	refDeadStores(l, info)
