@@ -259,32 +259,41 @@ func (c *Cholesky) SolveMany(bs [][]float64) [][]float64 {
 		if len(b) != n {
 			panic(fmt.Sprintf("linalg: SolveMany length mismatch %d vs %d", len(b), n))
 		}
-		xc, w := chunk(x, n, m, r)
+		xc, w, p := chunk(x, n, m, r)
 		for i, v := range b {
-			xc[i*w+r%4] = v
+			xc[i*w+p] = v
 		}
 	}
 	c.forward(x, m)
 	c.backward(x, m)
 	out := make([][]float64, m)
 	for r := range out {
-		xc, w := chunk(x, n, m, r)
+		xc, w, p := chunk(x, n, m, r)
 		col := make([]float64, n)
 		for i := range col {
-			col[i] = xc[i*w+r%4]
+			col[i] = xc[i*w+p]
 		}
 		out[r] = col
 	}
 	return out
 }
 
-// chunk returns the chunk of x holding column r of an n×m block and its
-// width w. Columns are stored four to a chunk, the last chunk narrower,
-// each chunk row by row: column r's entry i is at chunk[i·w + r%4].
-func chunk(x []float64, n, m, r int) ([]float64, int) {
+// chunk returns the chunk of x holding column r of an n×m block, its width
+// w and r's place p in it. Columns are stored four to a chunk, each chunk
+// row by row: column r's entry i is at chunk[i·w + p]. A last chunk of one
+// column joins the chunk before it, which is then five wide, so no column
+// is solved alone (every LS-SVM solves nine); otherwise the last chunk is
+// narrower.
+func chunk(x []float64, n, m, r int) ([]float64, int, int) {
 	r0 := r &^ 3
+	if r0 > 0 && r0 == m-1 {
+		r0 -= 4
+	}
 	w := min(4, m-r0)
-	return x[r0*n : (r0+w)*n], w
+	if m-r0 == 5 {
+		w = 5
+	}
+	return x[r0*n : (r0+w)*n], w, r - r0
 }
 
 // SolveLower solves L·y = b by forward substitution.
@@ -314,8 +323,9 @@ func (c *Cholesky) forward(y []float64, m int) {
 	n := c.l.Rows()
 	for i := range n {
 		row := c.l.Row(i)
-		for r := 0; r < m; r += 4 {
-			yc, w := chunk(y, n, m, r)
+		for r, w := 0, 0; r < m; r += w {
+			var yc []float64
+			yc, w, _ = chunk(y, n, m, r)
 			yi := yc[i*w : (i+1)*w]
 			subDots(yi, row[:i], yc, w)
 			for j := range yi {
@@ -333,8 +343,9 @@ func (c *Cholesky) backward(x []float64, m int) {
 	n := c.l.Rows()
 	for i := n - 1; i >= 0; i-- {
 		row := c.l.Row(i)
-		for r := 0; r < m; r += 4 {
-			xc, w := chunk(x, n, m, r)
+		for r, w := 0, 0; r < m; r += w {
+			var xc []float64
+			xc, w, _ = chunk(x, n, m, r)
 			xi := xc[i*w : (i+1)*w]
 			subDots(xi, row[i+1:], xc[(i+1)*w:], w)
 			for j := range xi {
@@ -347,7 +358,8 @@ func (c *Cholesky) backward(x []float64, m int) {
 // subDots subtracts l[k]·x[k·w+j] from s[j] for k = 0…len(l)−1 in
 // ascending order, for each of the chunk's w = len(s) columns.
 func subDots(s, l, x []float64, w int) {
-	if w == 4 {
+	switch w {
+	case 4:
 		s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
 		for k, v := range l {
 			xk := x[4*k : 4*k+4]
@@ -357,6 +369,18 @@ func subDots(s, l, x []float64, w int) {
 			s3 -= v * xk[3]
 		}
 		s[0], s[1], s[2], s[3] = s0, s1, s2, s3
+		return
+	case 5:
+		s0, s1, s2, s3, s4 := s[0], s[1], s[2], s[3], s[4]
+		for k, v := range l {
+			xk := x[5*k : 5*k+5]
+			s0 -= v * xk[0]
+			s1 -= v * xk[1]
+			s2 -= v * xk[2]
+			s3 -= v * xk[3]
+			s4 -= v * xk[4]
+		}
+		s[0], s[1], s[2], s[3], s[4] = s0, s1, s2, s3, s4
 		return
 	}
 	for j := range s {

@@ -157,11 +157,12 @@ func TestCholeskyMatchesRowDot(t *testing.T) {
 	}
 }
 
-// TestSolveManyMatchesSolve pins the one-pass multi-column solve to a
-// per-column forward and back substitution over the row-dot oracle's L,
-// and Solve, SolveLower and SolveUpper to the same substitutions, bit for
-// bit, at the factorization test's sizes under pool widths 1–3, on both
-// code paths.
+// TestSolveManyMatchesSolve pins the one-pass multi-column solve of 1, 2,
+// 4, 5, 8, 9 and 13 columns (every chunk width, and a five-wide last
+// chunk) to a per-column forward and back substitution over the row-dot
+// oracle's L, and Solve, SolveLower and SolveUpper to the same
+// substitutions, bit for bit, at the factorization test's sizes under
+// pool widths 1–3, on both code paths.
 func TestSolveManyMatchesSolve(t *testing.T) {
 	for _, tile := range leafPaths() {
 		t.Run(pathName(tile), func(t *testing.T) {
@@ -173,7 +174,7 @@ func TestSolveManyMatchesSolve(t *testing.T) {
 					t.Fatalf("n=%d: oracle: %v", n, err)
 				}
 				rng := rand.New(rand.NewSource(int64(n)))
-				bs := make([][]float64, 9)
+				bs := make([][]float64, 13)
 				for r := range bs {
 					bs[r] = make([]float64, n)
 					for i := range bs[r] {
@@ -183,6 +184,12 @@ func TestSolveManyMatchesSolve(t *testing.T) {
 				for i := range bs[0] {
 					bs[0][i] = 1
 				}
+				ys := make([][]float64, len(bs))
+				xs := make([][]float64, len(bs))
+				for r, b := range bs {
+					ys[r] = substituteLower(l, b)
+					xs[r] = substituteUpper(l, ys[r])
+				}
 				for _, w := range []int{1, 2, 3} {
 					restore := par.SetLimit(w)
 					ch, err := NewCholesky(clone(a))
@@ -190,15 +197,16 @@ func TestSolveManyMatchesSolve(t *testing.T) {
 					if err != nil {
 						t.Fatalf("n=%d width %d: %v", n, w, err)
 					}
-					xs := ch.SolveMany(bs)
-					for r, b := range bs {
+					for r, b := range bs[:9] {
 						name := fmt.Sprintf("n=%d width %d column %d", n, w, r)
-						y := substituteLower(l, b)
-						x := substituteUpper(l, y)
-						requireSameBits(t, name+": SolveLower", ch.SolveLower(b), y)
-						requireSameBits(t, name+": SolveUpper", ch.SolveUpper(y), x)
-						requireSameBits(t, name+": Solve", ch.Solve(b), x)
-						requireSameBits(t, name+": SolveMany", xs[r], x)
+						requireSameBits(t, name+": SolveLower", ch.SolveLower(b), ys[r])
+						requireSameBits(t, name+": SolveUpper", ch.SolveUpper(ys[r]), xs[r])
+						requireSameBits(t, name+": Solve", ch.Solve(b), xs[r])
+					}
+					for _, m := range []int{1, 2, 4, 5, 8, 9, 13} {
+						for r, x := range ch.SolveMany(bs[:m]) {
+							requireSameBits(t, fmt.Sprintf("n=%d width %d: SolveMany of %d, column %d", n, w, m, r), x, xs[r])
+						}
 					}
 				}
 			}

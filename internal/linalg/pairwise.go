@@ -56,32 +56,3 @@ func PairwiseSqDistColsInto(cols [][]float64, n int, out []float64) []float64 {
 	}
 	return out
 }
-
-// AddSqColumn adds the single-feature squared-distance contribution of col
-// into the n×n matrix dst: dst[i,j] += (col[i]−col[j])². With squared
-// Euclidean distance additive across features, repeated calls build the
-// distance matrix of a growing feature set in the order the features were
-// added — the same left-to-right accumulation SqDist performs over the
-// concatenated vector.
-func AddSqColumn(dst []float64, col []float64) {
-	n := len(col)
-	for ib := 0; ib < n; ib += pairTile {
-		ie := min(ib+pairTile, n)
-		for jb := ib; jb < n; jb += pairTile {
-			je := min(jb+pairTile, n)
-			for i := ib; i < ie; i++ {
-				ci := col[i]
-				js := jb
-				if i >= js {
-					js = i + 1
-				}
-				for j := js; j < je; j++ {
-					d := ci - col[j]
-					sq := d * d
-					dst[i*n+j] += sq
-					dst[j*n+i] += sq
-				}
-			}
-		}
-	}
-}

@@ -8,7 +8,7 @@ import (
 
 // TestPairwiseMatchesSqDist pins the tiled column kernel entry by entry to
 // per-pair SqDist over the equivalent rows, bit for bit, on shapes that cut
-// tiles, and to the matrix AddSqColumn builds one feature at a time.
+// tiles.
 func TestPairwiseMatchesSqDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{1, 33, 70, 333} {
@@ -32,18 +32,11 @@ func TestPairwiseMatchesSqDist(t *testing.T) {
 				stale[i] = -1
 			}
 			dist := PairwiseSqDistColsInto(cols, n, stale)
-			added := make([]float64, n*n)
-			for _, col := range cols {
-				AddSqColumn(added, col)
-			}
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					want := math.Float64bits(SqDist(rows[i], rows[j]))
 					if got := math.Float64bits(dist[i*n+j]); got != want {
 						t.Fatalf("n=%d dim=%d: dist[%d][%d] = %v, SqDist = %v", n, dim, i, j, dist[i*n+j], SqDist(rows[i], rows[j]))
-					}
-					if got := math.Float64bits(added[i*n+j]); got != want {
-						t.Fatalf("n=%d dim=%d: AddSqColumn [%d][%d] = %v, SqDist = %v", n, dim, i, j, added[i*n+j], SqDist(rows[i], rows[j]))
 					}
 				}
 			}

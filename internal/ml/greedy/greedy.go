@@ -29,15 +29,16 @@ type Result struct {
 // single closest *other* point, which is exactly LOO-1NN); others are
 // scored by plain training error.
 //
-// The candidate features within a round are scored independently across
-// the shared worker pool, each worker projecting into its own reused
-// buffer; the round's winner is the lowest-index minimum, exactly what the
-// serial scan picked.
+// Trainers with a selection session (the near-neighbor classifier) score
+// each round in one call. For the others the candidate features of a round
+// are scored independently across the shared worker pool, each worker
+// projecting into its own reused buffer. The round's winner is the
+// lowest-index minimum, exactly what a serial scan picks.
 func Select(tr ml.Trainer, d *ml.Dataset, k int) ([]Result, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	dim := len(d.Examples[0].Features)
+	dim := d.Dim()
 	if k > dim {
 		k = dim
 	}
@@ -45,21 +46,17 @@ func Select(tr ml.Trainer, d *ml.Dataset, k int) ([]Result, error) {
 	used := make([]bool, dim)
 	var results []Result
 
-	workers := par.Workers(dim)
-
-	// Trainers with an incremental selection session (the near-neighbor
-	// classifier's additive distance matrix) score a candidate in one
-	// feature's worth of work; others project each subset and retrain.
 	var sess ml.SelectSession
 	if ss, ok := tr.(ml.SelectScorer); ok {
 		var err error
-		if sess, err = ss.BeginSelect(d, workers); err != nil {
+		if sess, err = ss.BeginSelect(d); err != nil {
 			return nil, err
 		}
 	}
 	var subs []ml.Dataset
 	var idxBufs [][]int
 	if sess == nil {
+		workers := par.Workers(dim)
 		subs = make([]ml.Dataset, workers)
 		idxBufs = make([][]int, workers)
 		for w := range idxBufs {
@@ -79,21 +76,22 @@ func Select(tr ml.Trainer, d *ml.Dataset, k int) ([]Result, error) {
 		}
 		mRounds.Inc()
 		mCandidates.Add(int64(len(cand)))
-		err := par.ForEachWorker(len(cand), func(w, ci int) error {
-			var e float64
-			var err error
-			if sess != nil {
-				e, err = sess.Score(w, chosen, cand[ci])
-			} else {
+		var err error
+		if sess != nil {
+			if err = sess.Round(chosen, cand, scores[:len(cand)]); err != nil {
+				err = fmt.Errorf("greedy: round %d: %w", round, err)
+			}
+		} else {
+			err = par.ForEachWorker(len(cand), func(w, ci int) error {
 				idx := append(append(idxBufs[w][:0], chosen...), cand[ci])
-				e, err = errorOf(tr, d.SelectInto(idx, &subs[w]))
-			}
-			if err != nil {
-				return fmt.Errorf("greedy: feature %d: %w", cand[ci], err)
-			}
-			scores[ci] = e
-			return nil
-		})
+				e, err := errorOf(tr, d.SelectInto(idx, &subs[w]))
+				if err != nil {
+					return fmt.Errorf("greedy: feature %d: %w", cand[ci], err)
+				}
+				scores[ci] = e
+				return nil
+			})
+		}
 		sp.End()
 		if err != nil {
 			return nil, err

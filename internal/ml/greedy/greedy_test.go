@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"metaopt/internal/ml"
+	"metaopt/internal/ml/mltest"
 	"metaopt/internal/ml/nn"
+	"metaopt/internal/ml/tree"
 )
 
 // mixed builds a dataset where features 0 and 1 jointly determine the
@@ -109,6 +111,33 @@ func TestSessionPathMatchesSubsetPath(t *testing.T) {
 		for i := range fast {
 			if fast[i] != slow[i] {
 				t.Errorf("oneNN=%v round %d: session %+v, subset %+v", oneNN, i, fast[i], slow[i])
+			}
+		}
+	}
+}
+
+// TestSelectColumnOnlyMatchesRows runs selection on a column-only copy of
+// a dataset and on its rows: the near-neighbor session, which reads
+// columns, and a decision tree, which scores projections, must each choose
+// the same features with the same errors on both.
+func TestSelectColumnOnlyMatchesRows(t *testing.T) {
+	d := mltest.Clusters(90, 6, 4, 0.3, 11)
+	lite := mltest.ColumnOnly(d, 29)
+	for name, tr := range map[string]ml.Trainer{"nn": &nn.Trainer{OneNN: true}, "tree": &tree.Trainer{}} {
+		want, err := Select(tr, d, 3)
+		if err != nil {
+			t.Fatalf("%s rows: %v", name, err)
+		}
+		got, err := Select(tr, lite, 3)
+		if err != nil {
+			t.Fatalf("%s column-only: %v", name, err)
+		}
+		if len(want) != 3 || len(got) != len(want) {
+			t.Fatalf("%s: %d rounds on rows, %d column-only, want 3", name, len(want), len(got))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s round %d: column-only %+v, rows %+v", name, i, got[i], want[i])
 			}
 		}
 	}

@@ -333,23 +333,23 @@ type FoldSession interface {
 
 // SelectScorer is implemented by trainers that can score greedy forward
 // feature selection incrementally: the session carries state shared across
-// a whole selection run (e.g. an additive distance matrix over the chosen
-// features), so scoring a candidate costs one feature's worth of work
-// instead of re-deriving the entire subset. Scores must be exactly the
-// error errorOf(tr, d.Select(chosen ∪ {cand})) would produce.
+// a whole selection run (e.g. the normalized columns and the features
+// committed so far), so scoring a round costs far less than re-deriving
+// every candidate subset. Scores must be exactly the error
+// errorOf(tr, d.Select(chosen ∪ {cand})) would produce.
 type SelectScorer interface {
-	// BeginSelect prepares shared state for selection over d with up to
-	// workers concurrent Score callers.
-	BeginSelect(d *Dataset, workers int) (SelectSession, error)
+	// BeginSelect prepares shared state for selection over d.
+	BeginSelect(d *Dataset) (SelectSession, error)
 }
 
-// SelectSession scores candidate features for one BeginSelect dataset.
-// Score calls with distinct worker ids may run concurrently; Commit is
-// called serially between rounds with that round's winner.
+// SelectSession scores the candidate features of one BeginSelect dataset a
+// round at a time. Round and Commit are called serially; Round may use the
+// shared worker pool.
 type SelectSession interface {
-	// Score returns the selection error of chosen ∪ {cand}. chosen must be
-	// exactly the features committed so far, in commit order.
-	Score(worker int, chosen []int, cand int) (float64, error)
+	// Round sets scores[c] to the selection error of chosen ∪ {cands[c]}
+	// for every candidate. chosen must be exactly the features committed
+	// so far, in commit order.
+	Round(chosen, cands []int, scores []float64) error
 	// Commit folds the round winner into the shared state.
 	Commit(f int) error
 }

@@ -7,40 +7,6 @@ import (
 	"metaopt/internal/ml/mltest"
 )
 
-// liteCopy strips feature rows and attaches a chunked column backing — the
-// shape the mmap'd colstore reader serves for out-of-core LOOCV.
-func liteCopy(t *testing.T, d *ml.Dataset, chunkRows int) *ml.Dataset {
-	t.Helper()
-	n := d.Len()
-	dim := len(d.Examples[0].Features)
-	var chunks []ml.ColChunk
-	labels := make([]int, 0, n)
-	for s := 0; s < n; s += chunkRows {
-		e := min(s+chunkRows, n)
-		feats := make([][]float64, dim)
-		for j := range feats {
-			feats[j] = make([]float64, e-s)
-			for r := s; r < e; r++ {
-				feats[j][r-s] = d.Examples[r].Features[j]
-			}
-		}
-		chunks = append(chunks, ml.ColChunk{Start: s, Rows: e - s, Feats: feats})
-	}
-	for _, ex := range d.Examples {
-		labels = append(labels, ex.Label)
-	}
-	cols, err := ml.NewColumns(dim, labels, chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lite := &ml.Dataset{FeatureNames: d.FeatureNames, Cols: cols}
-	for _, ex := range d.Examples {
-		ex.Features = nil
-		lite.Examples = append(lite.Examples, ex)
-	}
-	return lite
-}
-
 // TestLSSVMColumnarLOOCVMatchesRows pins the Gram matrix of every dataset
 // layout — rows with an attached backing, and a column-only dataset in one
 // chunk and in many — to per-pair RBF.Eval on the normalized rows, and the
@@ -57,8 +23,8 @@ func TestLSSVMColumnarLOOCVMatchesRows(t *testing.T) {
 	backed.BuildColumns()
 	for name, ds := range map[string]*ml.Dataset{
 		"attached":         backed,
-		"lite one chunk":   liteCopy(t, d, 80),
-		"lite multi chunk": liteCopy(t, d, 19),
+		"lite one chunk":   mltest.ColumnOnly(d, 80),
+		"lite multi chunk": mltest.ColumnOnly(d, 19),
 	} {
 		requireGram(t, name, ds, 0, oracleMedianSigma(rows), rows)
 		got, err := tr.LOOCV(ds)
@@ -76,7 +42,7 @@ func TestLSSVMColumnarLOOCVMatchesRows(t *testing.T) {
 // TestLSSVMTrainRejectsColumnOnly documents the serving restriction.
 func TestLSSVMTrainRejectsColumnOnly(t *testing.T) {
 	d := mltest.Clusters(30, 4, 3, 0.2, 3)
-	if _, err := (&LSSVM{}).Train(liteCopy(t, d, 30)); err == nil {
+	if _, err := (&LSSVM{}).Train(mltest.ColumnOnly(d, 30)); err == nil {
 		t.Fatal("Train accepted a column-only dataset")
 	}
 }

@@ -8,8 +8,8 @@ import "math"
 // exemplar is nearer. With no exemplar within the radius, and in 1-NN
 // mode, it takes the label of the nearest exemplar, the first index at the
 // smallest distance. Every near-neighbor query decides through it: the
-// classifier's Predict and Confidence, dense and blocked LOOCV, both
-// selection sessions, and the float32 batch path.
+// classifier's Predict and Confidence, dense and blocked LOOCV, the
+// selection session, and the float32 batch path.
 type Vote[T float32 | float64] struct {
 	r2       T // squared radius; −1 in 1-NN mode, so that no exemplar votes
 	oneNN    bool
@@ -70,6 +70,12 @@ func (v *Vote[T]) Decide(labels []int) int {
 		}
 	}
 	return best
+}
+
+// NearestDist returns the distance of the nearest exemplar seen so far
+// (+Inf before any, and when every distance was NaN or +Inf).
+func (v *Vote[T]) NearestDist() T {
+	return v.nearestD
 }
 
 // Support reports how many exemplars fell within the radius and the share
