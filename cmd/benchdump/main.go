@@ -252,6 +252,29 @@ collect:
 				ch.InverseDiagonal()
 			}
 		}},
+		{"Gram", func(b *testing.B) {
+			// One LS-SVM Gram matrix at the fold training cap, built as
+			// svm's rbfGram builds it: the lower triangle of squared
+			// distances over 11 feature columns in the unit cube, then
+			// every row exponentiated at bandwidth 1.
+			const n, dim = 1500, 11
+			rng := rand.New(rand.NewSource(1))
+			cols := make([][]float64, dim)
+			for f := range cols {
+				cols[f] = make([]float64, n)
+				for i := range cols[f] {
+					cols[f][i] = rng.Float64()
+				}
+			}
+			gram := make([]float64, n*n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				linalg.SqDistLowerInto(cols, n, gram)
+				for r := 0; r < n; r++ {
+					linalg.RBFExp(gram[r*n:r*n+r+1], 2)
+				}
+			}
+		}},
 		{"DatasetLoadJSON", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := unroll.LoadDatasetFile(jsonPath); err != nil {

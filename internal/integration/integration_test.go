@@ -13,7 +13,7 @@ import (
 	"metaopt/internal/ir"
 	"metaopt/internal/loopgen"
 	"metaopt/internal/machine"
-	"metaopt/internal/regpress"
+	"metaopt/internal/regalloc"
 	"metaopt/internal/sched"
 	"metaopt/internal/sim"
 	"metaopt/internal/swp"
@@ -72,9 +72,8 @@ func TestListSchedulesVerify(t *testing.T) {
 			if s.Period < s.Length {
 				t.Fatalf("%s u=%d: period %d < length %d", l.Name, u, s.Period, s.Length)
 			}
-			p := regpress.Analyze(s)
-			if p.MaxLiveInt < 0 || p.MaxLiveFP < 0 || p.SpillCycles < 0 {
-				t.Fatalf("%s u=%d: negative pressure %+v", l.Name, u, p)
+			if err := regalloc.Run(s).Verify(); err != nil {
+				t.Fatalf("%s/%s u=%d: %v", l.Benchmark, l.Name, u, err)
 			}
 		}
 	}

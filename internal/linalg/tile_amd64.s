@@ -78,12 +78,15 @@ store:
 	VZEROUPPER
 	RET
 
-// func cpuid1() (ecx uint32)
-TEXT ·cpuid1(SB), NOSPLIT, $0-4
-	MOVL $1, AX
-	XORL CX, CX
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
 	CPUID
-	MOVL CX, ecx+0(FP)
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
 	RET
 
 // func xgetbv0() (eax uint32)

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// tileAvailable records whether this CPU runs the AVX leaf, before any
-// test flips useTile.
-var tileAvailable = useTile
+// tileAvailable and expAvailable record whether this host runs the AVX
+// leaves and the exp leaf, before any test flips useTile or useExp.
+var tileAvailable, expAvailable = useTile, useExp
 
-// leafPaths returns the values of useTile this host can run: the scalar
-// loops always, the AVX leaf where the CPU has it.
+// leafPaths returns the code paths this host can run: the scalar loops
+// always, the AVX leaves where the CPU has them.
 func leafPaths() []bool {
 	if tileAvailable {
 		return []bool{false, true}
@@ -19,12 +19,13 @@ func leafPaths() []bool {
 	return []bool{false}
 }
 
-// withLeaf sets useTile for one test and returns the function that
-// restores it.
+// withLeaf selects one code path for a test — the leaves on, with the exp
+// leaf where this host runs it, or every scalar loop — and returns the
+// function that restores the host's path.
 func withLeaf(on bool) func() {
-	old := useTile
-	useTile = on
-	return func() { useTile = old }
+	oldTile, oldExp := useTile, useExp
+	useTile, useExp = on, on && expAvailable
+	return func() { useTile, useExp = oldTile, oldExp }
 }
 
 // pathName labels a subtest by the code path it runs.

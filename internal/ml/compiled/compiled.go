@@ -19,7 +19,6 @@ package compiled
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"metaopt/internal/linalg"
@@ -89,6 +88,7 @@ type scratchBuf struct {
 	q32 []float32 // normalized batch queries, flat m×dim
 	d2  []float32 // batch squared distances, flat m×n
 	k32 []float32 // kernel vector
+	k64 []float64 // RBF kernel vector before rounding to float32
 	s32 []float32 // per-bit float32 scores
 }
 
@@ -128,7 +128,7 @@ func (p *Program) PredictBatch(qs [][]float64, out []int) []int {
 	}
 
 	sc := p.scratch.Get().(*scratchBuf)
-	sc.q32 = growF32(sc.q32, m*p.dim)
+	sc.q32 = grow(sc.q32, m*p.dim)
 	for i, v := range qs {
 		nq := p.norm.ApplyInto(v, sc.q)
 		dst := sc.q32[i*p.dim : (i+1)*p.dim]
@@ -146,11 +146,11 @@ func (p *Program) PredictBatch(qs [][]float64, out []int) []int {
 			out[i] = ml.VoteRow(sc.d2[i*p.n:(i+1)*p.n], p.labels, -1, p.radius, p.oneNN)
 		}
 	case kindKernel:
-		sc.k32 = growF32(sc.k32, p.n)
-		sc.s32 = growF32(sc.s32, p.bits)
+		sc.k32 = grow(sc.k32, p.n)
+		sc.s32 = grow(sc.s32, p.bits)
 		scores := sc.s[:p.bits]
 		for i := 0; i < m; i++ {
-			p.kernelRow32(sc.q32[i*p.dim:(i+1)*p.dim], sc.d2, i, sc.k32)
+			p.kernelRow32(sc, sc.q32[i*p.dim:(i+1)*p.dim], i, sc.k32)
 			linalg.MulVecF32(p.alpha32, p.bits, p.n, sc.k32, sc.s32)
 			for b := 0; b < p.bits; b++ {
 				scores[b] = float64(sc.s32[b]) + p.bias[b]
@@ -158,9 +158,9 @@ func (p *Program) PredictBatch(qs [][]float64, out []int) []int {
 			out[i] = ml.NearestCodeword(p.codes, scores)
 		}
 	case kindRegress:
-		sc.k32 = growF32(sc.k32, p.n)
+		sc.k32 = grow(sc.k32, p.n)
 		for i := 0; i < m; i++ {
-			p.kernelRow32(sc.q32[i*p.dim:(i+1)*p.dim], sc.d2, i, sc.k32)
+			p.kernelRow32(sc, sc.q32[i*p.dim:(i+1)*p.dim], i, sc.k32)
 			s := float64(linalg.DotF32(p.alpha32, sc.k32)) + p.bias[0]
 			out[i] = ml.RoundLabel(s)
 		}
@@ -169,24 +169,29 @@ func (p *Program) PredictBatch(qs [][]float64, out []int) []int {
 	return out
 }
 
-func growF32(b []float32, n int) []float32 {
+func grow[T float32 | float64](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]float32, n)
+		return make([]T, n)
 	}
 	return b[:n]
 }
 
 // --- Kernel machines -----------------------------------------------------
 
-// kernelRow32 fills k with float32 kernel evaluations for batch query i:
-// RBF reads the precomputed distance row, the linear kernel dots the query
+// kernelRow32 fills k with float32 kernel evaluations for batch query i.
+// RBF widens the precomputed distance row into sc.k64 and exponentiates it
+// with linalg.RBFExp: float32(math.Exp(float64(−d)/(2σ²))) bit for bit,
+// since float64(−d) is −float64(d). The linear kernel dots the query
 // against the float32 table.
-func (p *Program) kernelRow32(qi []float32, d2 []float32, i int, k []float32) {
+func (p *Program) kernelRow32(sc *scratchBuf, qi []float32, i int, k []float32) {
 	if p.sigma > 0 {
-		denom := 2 * p.sigma * p.sigma
-		row := d2[i*p.n : (i+1)*p.n]
-		for j := range k {
-			k[j] = float32(math.Exp(float64(-row[j]) / denom))
+		sc.k64 = grow(sc.k64, p.n)
+		for j, d := range sc.d2[i*p.n : (i+1)*p.n] {
+			sc.k64[j] = float64(d)
+		}
+		linalg.RBFExp(sc.k64, 2*p.sigma*p.sigma)
+		for j, v := range sc.k64 {
+			k[j] = float32(v)
 		}
 		return
 	}

@@ -111,11 +111,12 @@ const maxDenseRows = 4096
 // LOOCV classifies every example against the rest of the database. The
 // normalization statistics come from the full dataset, matching how the
 // paper's Matlab prototype normalized once before cross-validating. Up to
-// denseRowsCap examples, the pairwise distances are materialized once from
-// the normalized columns, so each of the n folds votes over one precomputed
-// row. Beyond it the blocked kernel streams the columns in bounded memory,
-// which is what lets a 10×–100× corpus cross-validate from an mmap'd file
-// without the n×n matrix or per-row heap copies.
+// denseRowsCap examples, the lower triangle of pairwise distances is
+// computed once from the normalized columns and mirrored, so each of the n
+// folds votes over one precomputed row. Beyond it the blocked kernel
+// streams the columns in bounded memory, which is what lets a 10×–100×
+// corpus cross-validate from an mmap'd file without the n×n matrix or
+// per-row heap copies.
 func (t *Trainer) LOOCV(d *ml.Dataset) ([]int, error) {
 	if d.Len() < 2 {
 		return nil, fmt.Errorf("nn: LOOCV needs at least 2 examples")
@@ -128,7 +129,8 @@ func (t *Trainer) LOOCV(d *ml.Dataset) ([]int, error) {
 	n := cols.N
 	preds := make([]int, n)
 	if n <= denseRowsCap {
-		dist := linalg.PairwiseSqDistColsInto(norm.ApplyColumns(cols), n, nil)
+		dist := linalg.SqDistLowerInto(norm.ApplyColumns(cols), n, nil)
+		linalg.NewMatrixData(n, n, dist).MirrorLower()
 		for i := range preds {
 			preds[i] = ml.VoteRow(dist[i*n:(i+1)*n], cols.Labels, i, t.radius(), t.OneNN)
 		}

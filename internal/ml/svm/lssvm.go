@@ -148,31 +148,17 @@ func (t *LSSVM) train(d *ml.Dataset, sigma float64) (ml.Classifier, error) {
 
 // Predict classifies a raw feature vector.
 func (m *Model) Predict(features []float64) int {
-	q := m.norm.Apply(features)
+	return m.codes.Decode(m.Scores(features))
+}
+
+// Scores returns the per-bit decision values for a raw feature vector.
+func (m *Model) Scores(features []float64) []float64 {
+	k := kernelRow(m.kernel, m.norm.Apply(features), m.rows)
 	scores := make([]float64, len(m.alpha))
-	k := make([]float64, len(m.rows))
-	for i, row := range m.rows {
-		k[i] = m.kernel.Eval(q, row)
-	}
 	for bit := range m.alpha {
 		s := m.bias[bit]
 		for i, a := range m.alpha[bit] {
 			s += a * k[i]
-		}
-		scores[bit] = s
-	}
-	return m.codes.Decode(scores)
-}
-
-// Scores returns the per-bit decision values for a raw feature vector
-// (used by the Figure 2 visualization).
-func (m *Model) Scores(features []float64) []float64 {
-	q := m.norm.Apply(features)
-	scores := make([]float64, len(m.alpha))
-	for bit := range m.alpha {
-		s := m.bias[bit]
-		for i, a := range m.alpha[bit] {
-			s += a * m.kernel.Eval(q, m.rows[i])
 		}
 		scores[bit] = s
 	}

@@ -53,10 +53,10 @@ func (t *Regression) Train(d *ml.Dataset) (ml.Classifier, error) {
 
 // Value returns the raw real-valued prediction.
 func (m *RegModel) Value(features []float64) float64 {
-	q := m.norm.Apply(features)
+	k := kernelRow(m.kernel, m.norm.Apply(features), m.rows)
 	s := m.bias
 	for i, a := range m.alpha {
-		s += a * m.kernel.Eval(q, m.rows[i])
+		s += a * k[i]
 	}
 	return s
 }

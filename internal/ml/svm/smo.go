@@ -91,12 +91,10 @@ func (t *SMO) Train(d *ml.Dataset) (ml.Classifier, error) {
 // triangle mirrored into the upper, since SMO reads whole rows.
 func smoGram(d *ml.Dataset) (*ml.Norm, RBF, [][]float64) {
 	norm, kernel, gram := rbfGram(d, 0)
+	gram.MirrorLower()
 	k := make([][]float64, gram.Rows())
 	for i := range k {
 		k[i] = gram.Row(i)
-		for j, v := range k[i][:i] {
-			k[j][i] = v
-		}
 	}
 	return norm, kernel, k
 }
@@ -183,11 +181,7 @@ func smoTrain(k [][]float64, y []float64, c, tol float64, maxPasses int, rng *ra
 
 // Predict classifies a raw feature vector.
 func (m *smoModel) Predict(features []float64) int {
-	q := m.norm.Apply(features)
-	kvec := make([]float64, len(m.rows))
-	for i, row := range m.rows {
-		kvec[i] = m.kernel.Eval(q, row)
-	}
+	kvec := kernelRow(m.kernel, m.norm.Apply(features), m.rows)
 	scores := make([]float64, len(m.bits))
 	for bi, bin := range m.bits {
 		s := bin.bias

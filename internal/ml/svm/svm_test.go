@@ -1,7 +1,10 @@
 package svm
 
 import (
+	"math"
+	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"metaopt/internal/linalg"
@@ -194,6 +197,42 @@ func TestMedianSigma(t *testing.T) {
 	}
 	if s := medianSigmaDist(dist[:1], 1); s != 1 {
 		t.Errorf("degenerate sigma = %v", s)
+	}
+
+	// Against the sort it replaced — every sampled distance's root,
+	// sort.Float64s (NaNs first), the middle one — at sizes that sample
+	// every pair and every step-th, with ties, zeros and NaNs.
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{2, 3, 40, 151, 320} {
+		for _, nanShare := range []float64{0, 0.2, 0.5, 0.7} {
+			dist := make([]float64, n*n)
+			for i := range dist {
+				switch r := rng.Float64(); {
+				case r < nanShare:
+					dist[i] = math.NaN()
+				case r < nanShare+0.1:
+					dist[i] = 0
+				default:
+					dist[i] = float64(rng.Intn(50)) / 7
+				}
+			}
+			step := max(n/150, 1)
+			var roots []float64
+			for i := 0; i < n; i += step {
+				for j := i + step; j < n; j += step {
+					roots = append(roots, math.Sqrt(dist[j*n+i]))
+				}
+			}
+			sort.Float64s(roots)
+			want := roots[len(roots)/2]
+			if want <= 0 {
+				want = 1
+			}
+			got := medianSigmaDist(dist, n)
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("n=%d NaN share %v: sigma %v, sorted median %v", n, nanShare, got, want)
+			}
+		}
 	}
 }
 
