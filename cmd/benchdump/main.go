@@ -252,6 +252,28 @@ collect:
 				ch.InverseDiagonal()
 			}
 		}},
+		{"SolveMany", func(b *testing.B) {
+			// The solve newSystem makes at the fold training cap: nine
+			// right-hand sides (the ones vector and eight output-code
+			// bits) in one forward and one backward pass over the factor.
+			const n = 1500
+			ch, err := linalg.NewCholesky(lssvmSystem(n))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(2))
+			bs := make([][]float64, 9)
+			for r := range bs {
+				bs[r] = make([]float64, n)
+				for i := range bs[r] {
+					bs[r][i] = rng.NormFloat64()
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ch.SolveMany(bs)
+			}
+		}},
 		{"Gram", func(b *testing.B) {
 			// One LS-SVM Gram matrix at the fold training cap, built as
 			// svm's rbfGram builds it: the lower triangle of squared

@@ -112,8 +112,8 @@ func requireSameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// cholSizes cut the 8-column groups, the 4-row quads, the 32-row strips
-// and the 128-column panels.
+// cholSizes cut the 8-column groups, the 4- and 8-row lane groups, the
+// 32-row strips and the 128-column panels.
 func cholSizes() []int {
 	sizes := []int{1, 2, 3, 5, 7, 8, 9, 12, 13, 33, 127, 128, 129, 161, 255, 257, 700}
 	if testing.Short() {
@@ -125,93 +125,87 @@ func cholSizes() []int {
 // TestCholeskyMatchesRowDot pins the panel factorization and the
 // column-block inverse diagonal to their row-dot and column-walking
 // oracles, bit for bit — L below the diagonal and Lᵀ above it — at sizes
-// that cut the groups, quads, strips and panels, under pool widths 1–3,
-// on the scalar loops and on the AVX leaf.
+// that cut the groups, lane groups, strips and panels, under pool widths
+// 1–3, on the scalar loops and at every tile width.
 func TestCholeskyMatchesRowDot(t *testing.T) {
-	for _, tile := range leafPaths() {
-		t.Run(pathName(tile), func(t *testing.T) {
-			defer withLeaf(tile)()
-			for _, n := range cholSizes() {
-				a := lssvmMatrix(n, int64(n))
-				wantL, err := rowDotCholesky(a)
-				if err != nil {
-					t.Fatalf("n=%d: oracle: %v", n, err)
-				}
-				wantDiag := columnInverseDiagonal(wantL)
-				wantLU := withUpper(wantL)
-				for _, w := range []int{1, 2, 3} {
-					restore := par.SetLimit(w)
-					work := clone(a)
-					ch, err := NewCholesky(work)
-					if err != nil {
-						restore()
-						t.Fatalf("n=%d width %d: %v", n, w, err)
-					}
-					name := fmt.Sprintf("n=%d width %d", n, w)
-					requireSameBits(t, name+": L", work.data, wantLU.data)
-					requireSameBits(t, name+": inverse diagonal", ch.InverseDiagonal(), wantDiag)
-					restore()
-				}
+	forEachLeaf(t, tileWidths, func(t *testing.T) {
+		for _, n := range cholSizes() {
+			a := lssvmMatrix(n, int64(n))
+			wantL, err := rowDotCholesky(a)
+			if err != nil {
+				t.Fatalf("n=%d: oracle: %v", n, err)
 			}
-		})
-	}
+			wantDiag := columnInverseDiagonal(wantL)
+			wantLU := withUpper(wantL)
+			for _, w := range []int{1, 2, 3} {
+				restore := par.SetLimit(w)
+				work := clone(a)
+				ch, err := NewCholesky(work)
+				if err != nil {
+					restore()
+					t.Fatalf("n=%d width %d: %v", n, w, err)
+				}
+				name := fmt.Sprintf("n=%d width %d", n, w)
+				requireSameBits(t, name+": L", work.data, wantLU.data)
+				requireSameBits(t, name+": inverse diagonal", ch.InverseDiagonal(), wantDiag)
+				restore()
+			}
+		}
+	})
 }
 
 // TestSolveManyMatchesSolve pins the one-pass multi-column solve of 1, 2,
-// 4, 5, 8, 9 and 13 columns (every chunk width, and a five-wide last
-// chunk) to a per-column forward and back substitution over the row-dot
-// oracle's L, and Solve, SolveLower and SolveUpper to the same
+// 4, 5, 8, 9 and 13 columns (full chunks of 4 and 8, and every narrower
+// last chunk) to a per-column forward and back substitution over the
+// row-dot oracle's L, and Solve, SolveLower and SolveUpper to the same
 // substitutions, bit for bit, at the factorization test's sizes under
-// pool widths 1–3, on both code paths.
+// pool widths 1–3, on every code path.
 func TestSolveManyMatchesSolve(t *testing.T) {
-	for _, tile := range leafPaths() {
-		t.Run(pathName(tile), func(t *testing.T) {
-			defer withLeaf(tile)()
-			for _, n := range cholSizes() {
-				a := lssvmMatrix(n, int64(n)+1)
-				l, err := rowDotCholesky(a)
+	forEachLeaf(t, tileWidths, func(t *testing.T) {
+		for _, n := range cholSizes() {
+			a := lssvmMatrix(n, int64(n)+1)
+			l, err := rowDotCholesky(a)
+			if err != nil {
+				t.Fatalf("n=%d: oracle: %v", n, err)
+			}
+			rng := rand.New(rand.NewSource(int64(n)))
+			bs := make([][]float64, 13)
+			for r := range bs {
+				bs[r] = make([]float64, n)
+				for i := range bs[r] {
+					bs[r][i] = rng.NormFloat64()
+				}
+			}
+			for i := range bs[0] {
+				bs[0][i] = 1
+			}
+			ys := make([][]float64, len(bs))
+			xs := make([][]float64, len(bs))
+			for r, b := range bs {
+				ys[r] = substituteLower(l, b)
+				xs[r] = substituteUpper(l, ys[r])
+			}
+			for _, w := range []int{1, 2, 3} {
+				restore := par.SetLimit(w)
+				ch, err := NewCholesky(clone(a))
+				restore()
 				if err != nil {
-					t.Fatalf("n=%d: oracle: %v", n, err)
+					t.Fatalf("n=%d width %d: %v", n, w, err)
 				}
-				rng := rand.New(rand.NewSource(int64(n)))
-				bs := make([][]float64, 13)
-				for r := range bs {
-					bs[r] = make([]float64, n)
-					for i := range bs[r] {
-						bs[r][i] = rng.NormFloat64()
-					}
+				for r, b := range bs[:9] {
+					name := fmt.Sprintf("n=%d width %d column %d", n, w, r)
+					requireSameBits(t, name+": SolveLower", ch.SolveLower(b), ys[r])
+					requireSameBits(t, name+": SolveUpper", ch.SolveUpper(ys[r]), xs[r])
+					requireSameBits(t, name+": Solve", ch.Solve(b), xs[r])
 				}
-				for i := range bs[0] {
-					bs[0][i] = 1
-				}
-				ys := make([][]float64, len(bs))
-				xs := make([][]float64, len(bs))
-				for r, b := range bs {
-					ys[r] = substituteLower(l, b)
-					xs[r] = substituteUpper(l, ys[r])
-				}
-				for _, w := range []int{1, 2, 3} {
-					restore := par.SetLimit(w)
-					ch, err := NewCholesky(clone(a))
-					restore()
-					if err != nil {
-						t.Fatalf("n=%d width %d: %v", n, w, err)
-					}
-					for r, b := range bs[:9] {
-						name := fmt.Sprintf("n=%d width %d column %d", n, w, r)
-						requireSameBits(t, name+": SolveLower", ch.SolveLower(b), ys[r])
-						requireSameBits(t, name+": SolveUpper", ch.SolveUpper(ys[r]), xs[r])
-						requireSameBits(t, name+": Solve", ch.Solve(b), xs[r])
-					}
-					for _, m := range []int{1, 2, 4, 5, 8, 9, 13} {
-						for r, x := range ch.SolveMany(bs[:m]) {
-							requireSameBits(t, fmt.Sprintf("n=%d width %d: SolveMany of %d, column %d", n, w, m, r), x, xs[r])
-						}
+				for _, m := range []int{1, 2, 4, 5, 8, 9, 13} {
+					for r, x := range ch.SolveMany(bs[:m]) {
+						requireSameBits(t, fmt.Sprintf("n=%d width %d: SolveMany of %d, column %d", n, w, m, r), x, xs[r])
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // substituteLower solves L·y = b by textbook forward substitution.
@@ -244,64 +238,94 @@ func substituteUpper(l *Matrix, y []float64) []float64 {
 // TestCholeskyRefusesLikeRowDot places a bad pivot in the first, a middle
 // and the last panel — in a panel's first strip and in later ones — and
 // checks the panel kernel refuses exactly when the oracle does, and, when
-// both accept, agrees with it bit for bit, on both code paths.
+// both accept, agrees with it bit for bit, on every code path.
 func TestCholeskyRefusesLikeRowDot(t *testing.T) {
 	const n = 300 // panels [0,128), [128,256), [256,300); strips of 32 rows
 	base := lssvmMatrix(n, 3)
-	for _, tile := range leafPaths() {
-		t.Run(pathName(tile), func(t *testing.T) {
-			defer withLeaf(tile)()
-			for _, p := range []int{0, 1, 130, 200, n - 1} {
-				for _, v := range []float64{0, -1, math.NaN(), 1e-3, 0.5, 2} {
-					a := clone(base)
-					a.Set(p, p, v)
-					wantL, wantErr := rowDotCholesky(a)
-					for _, w := range []int{1, 2, 3} {
-						restore := par.SetLimit(w)
-						work := clone(a)
-						_, err := NewCholesky(work)
-						restore()
-						if err != wantErr {
-							t.Fatalf("pivot %d = %v, width %d: err %v, oracle %v", p, v, w, err, wantErr)
-						}
-						if err == nil {
-							requireSameBits(t, fmt.Sprintf("pivot %d = %v, width %d: L", p, v, w), work.data, withUpper(wantL).data)
-						}
+	forEachLeaf(t, tileWidths, func(t *testing.T) {
+		for _, p := range []int{0, 1, 130, 200, n - 1} {
+			for _, v := range []float64{0, -1, math.NaN(), 1e-3, 0.5, 2} {
+				a := clone(base)
+				a.Set(p, p, v)
+				wantL, wantErr := rowDotCholesky(a)
+				for _, w := range []int{1, 2, 3} {
+					restore := par.SetLimit(w)
+					work := clone(a)
+					_, err := NewCholesky(work)
+					restore()
+					if err != wantErr {
+						t.Fatalf("pivot %d = %v, width %d: err %v, oracle %v", p, v, w, err, wantErr)
+					}
+					if err == nil {
+						requireSameBits(t, fmt.Sprintf("pivot %d = %v, width %d: L", p, v, w), work.data, withUpper(wantL).data)
 					}
 				}
 			}
-		})
+		}
+	})
+}
+
+// benchLeaves runs bench as sub-benchmarks lanes=L/n=N at every tile
+// width this host runs, the scalar loops included, and at each order.
+func benchLeaves(b *testing.B, orders []int, bench func(b *testing.B, n int)) {
+	for _, l := range append([]int{0}, tileWidths...) {
+		if l > hostLanes {
+			continue
+		}
+		for _, n := range orders {
+			b.Run(fmt.Sprintf("lanes=%d/n=%d", l, n), func(b *testing.B) {
+				defer withLeaf(l)()
+				bench(b, n)
+			})
+		}
 	}
 }
 
 func BenchmarkCholesky(b *testing.B) {
-	for _, n := range []int{1500, 3153} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			a := lssvmMatrix(n, 1)
-			work := NewMatrix(n, n)
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				copy(work.data, a.data)
-				b.StartTimer()
-				if _, err := NewCholesky(work); err != nil {
-					b.Fatal(err)
-				}
+	benchLeaves(b, []int{1500, 3153}, func(b *testing.B, n int) {
+		a := lssvmMatrix(n, 1)
+		work := NewMatrix(n, n)
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			copy(work.data, a.data)
+			b.StartTimer()
+			if _, err := NewCholesky(work); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 func BenchmarkInverseDiagonal(b *testing.B) {
-	for _, n := range []int{1500, 3153} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			ch, err := NewCholesky(lssvmMatrix(n, 1))
-			if err != nil {
-				b.Fatal(err)
+	benchLeaves(b, []int{1500, 3153}, func(b *testing.B, n int) {
+		ch, err := NewCholesky(lssvmMatrix(n, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ch.InverseDiagonal()
+		}
+	})
+}
+
+func BenchmarkSolveMany(b *testing.B) {
+	benchLeaves(b, []int{1500, 3153}, func(b *testing.B, n int) {
+		ch, err := NewCholesky(lssvmMatrix(n, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		bs := make([][]float64, 9)
+		for r := range bs {
+			bs[r] = make([]float64, n)
+			for i := range bs[r] {
+				bs[r][i] = rng.NormFloat64()
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ch.InverseDiagonal()
-			}
-		})
-	}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ch.SolveMany(bs)
+		}
+	})
 }

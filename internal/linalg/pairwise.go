@@ -17,16 +17,16 @@ const distRows = 32
 // and adds (cᵢ−cⱼ)² one feature at a time in column order — the additions
 // SqDist makes over the two examples' rows — so every entry equals SqDist
 // of the equivalent rows bit for bit. The work is split into distRows-row
-// strips over the worker pool, the longest rows first; with useTile each
-// strip runs the AVX leaf sqdist4x8 over 8-row feature-major panels of the
-// columns.
+// strips over the worker pool, the longest rows first; at either tile
+// width (lanes) each strip runs the AVX leaf sqdist4x8 over 8-row
+// feature-major panels of the columns.
 func SqDistLowerInto(cols [][]float64, n int, out []float64) []float64 {
 	if cap(out) < n*n {
 		out = make([]float64, n*n)
 	} else {
 		out = out[:n*n]
 	}
-	tile := useTile && len(cols) > 0
+	tile := lanes > 0 && len(cols) > 0
 	var panels []float64
 	if tile {
 		panels = sqDistPanels(cols, n)

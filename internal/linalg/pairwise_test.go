@@ -29,45 +29,46 @@ func randomCols(rng *rand.Rand, n, d int) (cols, rows [][]float64) {
 	return cols, rows
 }
 
-// TestPairwiseMatchesSqDist pins SqDistLowerInto, on both code paths
+// distWidths are the tile widths that run SqDistLowerInto's and RBFExp's
+// leaves: the 8-lane tile runs the same AVX leaves as the 4-lane one.
+var distWidths = []int{4}
+
+// TestPairwiseMatchesSqDist pins SqDistLowerInto, on both its code paths
 // and at pool widths 1 and 3, entry by entry to per-pair SqDist over the
 // equivalent rows, bit for bit, on shapes that cut the 4×8 tiles and the
 // strips; the diagonal must be zero and the upper triangle untouched.
 func TestPairwiseMatchesSqDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, tile := range leafPaths() {
-		t.Run(pathName(tile), func(t *testing.T) {
-			defer withLeaf(tile)()
-			for _, w := range []int{1, 3} {
-				restore := par.SetLimit(w)
-				for _, n := range []int{1, 3, 4, 7, 8, 9, 31, 33, 257} {
-					for _, d := range []int{1, 2, 5, 11, 38} {
-						cols, rows := randomCols(rng, n, d)
-						stale := make([]float64, n*n)
-						for i := range stale {
-							stale[i] = -1
-						}
-						dist := SqDistLowerInto(cols, n, stale)
-						for i := range n {
-							for j := range n {
-								want := -1.0
-								switch {
-								case j < i:
-									want = SqDist(rows[i], rows[j])
-								case j == i:
-									want = 0
-								}
-								if got := dist[i*n+j]; math.Float64bits(got) != math.Float64bits(want) {
-									t.Fatalf("width %d n=%d d=%d: dist[%d][%d] = %v, want %v", w, n, d, i, j, got, want)
-								}
+	forEachLeaf(t, distWidths, func(t *testing.T) {
+		for _, w := range []int{1, 3} {
+			restore := par.SetLimit(w)
+			for _, n := range []int{1, 3, 4, 7, 8, 9, 31, 33, 257} {
+				for _, d := range []int{1, 2, 5, 11, 38} {
+					cols, rows := randomCols(rng, n, d)
+					stale := make([]float64, n*n)
+					for i := range stale {
+						stale[i] = -1
+					}
+					dist := SqDistLowerInto(cols, n, stale)
+					for i := range n {
+						for j := range n {
+							want := -1.0
+							switch {
+							case j < i:
+								want = SqDist(rows[i], rows[j])
+							case j == i:
+								want = 0
+							}
+							if got := dist[i*n+j]; math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("width %d n=%d d=%d: dist[%d][%d] = %v, want %v", w, n, d, i, j, got, want)
 							}
 						}
 					}
 				}
-				restore()
 			}
-		})
-	}
+			restore()
+		}
+	})
 }
 
 // TestMirrorLower pins the mirrored matrix to its lower triangle.
@@ -137,51 +138,48 @@ func requireExpRows(t *testing.T, rng *rand.Rand, xs []float64, denom float64) {
 	}
 }
 
-// TestRBFExpMatchesMathExp pins RBFExp, on both code paths, to math.Exp
+// TestRBFExpMatchesMathExp pins RBFExp, on both its code paths, to math.Exp
 // bit for bit over rows of every length up to 9, so the leaf's tails and
 // its bail-outs in mid-row are covered: random bit patterns, specials and
 // subnormals, every denominator of expDenoms, and arguments swept densely
 // over [−746, −700] and [700, 710] — subnormal results, the leaf's
 // bounds, and overflow.
 func TestRBFExpMatchesMathExp(t *testing.T) {
-	for _, tile := range leafPaths() {
-		t.Run(pathName(tile), func(t *testing.T) {
-			defer withLeaf(tile)()
-			if tile && !useExp {
-				t.Log("math.Exp is off its FMA path or the CPU lacks AVX2/FMA: RBFExp runs math.Exp")
+	forEachLeaf(t, distWidths, func(t *testing.T) {
+		if lanes > 0 && !useExp {
+			t.Log("math.Exp is off its FMA path or the CPU lacks AVX2/FMA: RBFExp runs math.Exp")
+		}
+		rng := rand.New(rand.NewSource(21))
+		xs := make([]float64, 1<<19)
+		for _, denom := range expDenoms {
+			for i := range xs {
+				xs[i] = expArgument(rng)
 			}
-			rng := rand.New(rand.NewSource(21))
-			xs := make([]float64, 1<<19)
-			for _, denom := range expDenoms {
-				for i := range xs {
-					xs[i] = expArgument(rng)
-				}
-				requireExpRows(t, rng, xs, denom)
+			requireExpRows(t, rng, xs, denom)
+		}
+		// Arguments −x/1 and −x/−1 are exact: sweep them.
+		var sweep []float64
+		for _, r := range [][2]float64{{-746, -700}, {700, 710}} {
+			for a := r[0]; a <= r[1]; a += 0x1p-12 {
+				sweep = append(sweep, a, math.Nextafter(a, math.Inf(1)))
 			}
-			// Arguments −x/1 and −x/−1 are exact: sweep them.
-			var sweep []float64
-			for _, r := range [][2]float64{{-746, -700}, {700, 710}} {
-				for a := r[0]; a <= r[1]; a += 0x1p-12 {
-					sweep = append(sweep, a, math.Nextafter(a, math.Inf(1)))
-				}
+		}
+		for _, b := range []float64{-708, 709} {
+			a := b
+			for range 64 {
+				a = math.Nextafter(a, math.Inf(-1))
 			}
-			for _, b := range []float64{-708, 709} {
-				a := b
-				for range 64 {
-					a = math.Nextafter(a, math.Inf(-1))
-				}
-				for range 129 {
-					sweep = append(sweep, a)
-					a = math.Nextafter(a, math.Inf(1))
-				}
+			for range 129 {
+				sweep = append(sweep, a)
+				a = math.Nextafter(a, math.Inf(1))
 			}
-			requireExpRows(t, rng, sweep, -1)
-			for i := range sweep {
-				sweep[i] = -sweep[i]
-			}
-			requireExpRows(t, rng, sweep, 1)
-		})
-	}
+		}
+		requireExpRows(t, rng, sweep, -1)
+		for i := range sweep {
+			sweep[i] = -sweep[i]
+		}
+		requireExpRows(t, rng, sweep, 1)
+	})
 }
 
 func BenchmarkSqDistLower(b *testing.B) {

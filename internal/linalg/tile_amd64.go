@@ -2,15 +2,32 @@ package linalg
 
 import "math"
 
-// tile4x8 subtracts 32 products at a time: for kk = 0…k−1 in ascending
-// order, acc[c·4+r] −= v[4·kk+r] · s[c·stride+kk], where v is a stream of
-// four lanes stored k-major and s points at eight rows stride floats apart.
-// Each lane performs its entry's own multiply and subtract in 256-bit AVX
-// registers, with no fused multiply-add, so every entry rounds exactly as
-// the scalar acc −= v·s does. It reads v[:4·k] and s[c·stride:][:k].
+// The register tiles of tile_amd64.s. With L lanes (4 in 256-bit AVX
+// registers, 8 in 512-bit AVX-512 ones) each subtracts 8·L products at a
+// time: for kk = 0…k−1 in ascending order, acc[c·L+r] −= v[L·kk+r] ·
+// s[c·stride+kk], where v is a stream of L lanes stored k-major and s
+// points at eight rows stride floats apart. The finishing variants then
+// complete the 8×8 triangle to the right of column k: for c = 0…7, lane
+// vector c subtracts acc[kk·L+r] · s[c·stride+k+kk] for kk < c in
+// ascending order, with acc[kk·L+r] already finished, is divided by
+// s[c·stride+k+c], and is stored to v[L·(k+c)+r] as well as to acc. Each
+// lane performs its entry's own multiplies, subtractions and division,
+// with no fused multiply-add, so every entry rounds exactly as the scalar
+// acc −= v·s and acc /= s do. The plain leaves read v[:L·k] and
+// s[c·stride:][:k], the finishing ones s[c·stride:][:k+c+1] and write
+// v[L·k:L·(k+8)].
 //
 //go:noescape
 func tile4x8(v, s *float64, stride, k int, acc *[32]float64)
+
+//go:noescape
+func tile8x8(v, s *float64, stride, k int, acc *[64]float64)
+
+//go:noescape
+func tile4x8fin(v, s *float64, stride, k int, acc *[32]float64)
+
+//go:noescape
+func tile8x8fin(v, s *float64, stride, k int, acc *[64]float64)
 
 // sqdist4x8 writes a 4×8 tile of squared distances per block: for
 // b < blocks, out[r·stride + 8b + c] = Σ_f (q[8f+r] − p[8d·b + 8f + c])²,
@@ -37,11 +54,13 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 returns the low word of extended control register 0.
 func xgetbv0() (eax uint32)
 
-// useTile routes NewCholesky, InverseDiagonal and SqDistLowerInto through
-// the AVX leaves tile4x8 and sqdist4x8. It holds when the CPU has AVX and
-// the OS saves the YMM registers; otherwise the scalar loops run. Tests
-// flip it to run both paths.
-var useTile = hasAVX(false)
+// lanes is the width of the register tile under NewCholesky,
+// InverseDiagonal and SolveMany: 8 when the CPU has AVX-512F and the OS
+// saves the ZMM registers, 4 when it has AVX and the OS saves the YMM
+// ones, and 0 otherwise, where the scalar loops run. With any tile,
+// SqDistLowerInto runs the AVX leaf sqdist4x8. Tests flip it to run every
+// width.
+var lanes = tileWidth()
 
 // useExp routes RBFExp through expNegDiv4. It needs AVX2 and FMA as well,
 // and it holds only where math.Exp itself takes its FMA path: that choice
@@ -70,6 +89,24 @@ func hasAVX(fma bool) bool {
 	}
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&avx2 != 0
+}
+
+// tileWidth returns the lane width of the widest register tile this CPU
+// runs and its OS saves: 8 with AVX-512F (CPUID.(7,0):EBX bit 16) and the
+// XMM, YMM, opmask and both halves of ZMM state enabled in XCR0 (bits 1,
+// 2, 5, 6 and 7), 4 with AVX, and 0 without.
+func tileWidth() int {
+	const avx512f, zmmState = 1 << 16, 0xe6
+	if !hasAVX(false) {
+		return 0
+	}
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return 4
+	}
+	if _, ebx, _, _ := cpuid(7, 0); ebx&avx512f == 0 || xgetbv0()&zmmState != zmmState {
+		return 4
+	}
+	return 8
 }
 
 // expProbes are arguments on which math.Exp's FMA and non-FMA paths differ

@@ -76,3 +76,33 @@ func TestExpProbeFollowsMathExp(t *testing.T) {
 		t.Fatal("the probe accepts results one ulp off")
 	}
 }
+
+// TestLeafWidth logs the tile width this host runs and checks it against
+// CPUID and XCR0: 8 with AVX-512F and the OS saving the opmask and ZMM
+// state, 4 with AVX and YMM state, else 0. CI runs it with -v, so the log
+// shows which width a runner tested.
+func TestLeafWidth(t *testing.T) {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	_, _, ecx, _ := cpuid(1, 0)
+	var ebx7, xcr0 uint32
+	if maxLeaf >= 7 {
+		_, ebx7, _, _ = cpuid(7, 0)
+	}
+	osxsave := ecx&(1<<27) != 0
+	if osxsave {
+		xcr0 = xgetbv0()
+	}
+	avx := osxsave && ecx&(1<<28) != 0 && xcr0&0x6 == 0x6
+	avx512 := avx && ebx7&(1<<16) != 0 && xcr0&0xe6 == 0xe6
+	want := 0
+	switch {
+	case avx512:
+		want = 8
+	case avx:
+		want = 4
+	}
+	t.Logf("tile width %d lanes (AVX %v, AVX-512F %v, XCR0 %#x); exp leaf %v", hostLanes, avx, avx512, xcr0, expAvailable)
+	if hostLanes != want {
+		t.Fatalf("lanes = %d, want %d", hostLanes, want)
+	}
+}

@@ -2,16 +2,28 @@
 
 package linalg
 
-// useTile and useExp are false off amd64: NewCholesky, InverseDiagonal,
-// SqDistLowerInto and RBFExp run their scalar loops.
+// lanes is 0 and useExp false off amd64: NewCholesky, InverseDiagonal,
+// SolveMany, SqDistLowerInto and RBFExp run their scalar loops.
 var (
-	useTile = false
-	useExp  = false
+	lanes  = 0
+	useExp = false
 )
 
-// tile4x8 is never called off amd64.
+// The register tiles are never called off amd64.
 func tile4x8(v, s *float64, stride, k int, acc *[32]float64) {
 	panic("linalg: tile4x8 without AVX")
+}
+
+func tile8x8(v, s *float64, stride, k int, acc *[64]float64) {
+	panic("linalg: tile8x8 without AVX-512")
+}
+
+func tile4x8fin(v, s *float64, stride, k int, acc *[32]float64) {
+	panic("linalg: tile4x8fin without AVX")
+}
+
+func tile8x8fin(v, s *float64, stride, k int, acc *[64]float64) {
+	panic("linalg: tile8x8fin without AVX-512")
 }
 
 // sqdist4x8 is never called off amd64.

@@ -1,39 +1,56 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// tileAvailable and expAvailable record whether this host runs the AVX
-// leaves and the exp leaf, before any test flips useTile or useExp.
-var tileAvailable, expAvailable = useTile, useExp
+// hostLanes and expAvailable record the tile width and the exp leaf this
+// host runs, before any test flips lanes or useExp.
+var hostLanes, expAvailable = lanes, useExp
 
-// leafPaths returns the code paths this host can run: the scalar loops
-// always, the AVX leaves where the CPU has them.
-func leafPaths() []bool {
-	if tileAvailable {
-		return []bool{false, true}
-	}
-	return []bool{false}
+// tileWidths are the widths of the register tiles: 4 lanes under AVX and
+// 8 under AVX-512F.
+var tileWidths = []int{4, 8}
+
+// withLeaf selects the code path of one tile width for a test — with the
+// exp leaf where this host runs it, or every scalar loop at width 0 — and
+// returns the function that restores the host's path.
+func withLeaf(width int) func() {
+	oldLanes, oldExp := lanes, useExp
+	lanes, useExp = width, width > 0 && expAvailable
+	return func() { lanes, useExp = oldLanes, oldExp }
 }
 
-// withLeaf selects one code path for a test — the leaves on, with the exp
-// leaf where this host runs it, or every scalar loop — and returns the
-// function that restores the host's path.
-func withLeaf(on bool) func() {
-	oldTile, oldExp := useTile, useExp
-	useTile, useExp = on, on && expAvailable
-	return func() { useTile, useExp = oldTile, oldExp }
+// requireLanes skips a test of the tile of l lanes on a host that cannot
+// run it.
+func requireLanes(tb testing.TB, l int) {
+	tb.Helper()
+	if l > hostLanes {
+		tb.Skipf("this host runs tiles of at most %d lanes: the %d-lane tile needs %s",
+			hostLanes, l, map[int]string{4: "AVX with YMM state", 8: "AVX-512F with ZMM state"}[l])
+	}
 }
 
-// pathName labels a subtest by the code path it runs.
-func pathName(tile bool) string {
-	if tile {
-		return "leaf"
-	}
-	return "scalar"
+// forEachLeaf runs f as subtests on every code path: "scalar", with
+// every scalar loop, and under "leaf" one subtest per tile width in
+// widths, which skips, saying why, on a host that cannot run it.
+func forEachLeaf(t *testing.T, widths []int, f func(t *testing.T)) {
+	t.Run("scalar", func(t *testing.T) {
+		defer withLeaf(0)()
+		f(t)
+	})
+	t.Run("leaf", func(t *testing.T) {
+		for _, l := range widths {
+			t.Run(fmt.Sprintf("%d-lane", l), func(t *testing.T) {
+				requireLanes(t, l)
+				defer withLeaf(l)()
+				f(t)
+			})
+		}
+	})
 }
 
 // leafValue draws a float64 that is often awkward: signed zeros,
@@ -57,45 +74,99 @@ func leafValue(rng *rand.Rand) float64 {
 	}
 }
 
-// TestTileLeafMatchesScalar pins every lane of the AVX leaf to the scalar
-// acc −= v·s over the same k order, bit for bit, including signed zeros,
-// subnormal operands and results, and products that overflow to ±Inf.
-func TestTileLeafMatchesScalar(t *testing.T) {
-	if !tileAvailable {
-		t.Skip("no AVX on this CPU")
+// scalarLeaf restates the register tiles' rule (see tile4x8) entry by
+// entry with scalar float64 operations: the oracle every lane must match.
+func scalarLeaf(l int, fin bool, v, s []float64, stride, k int, acc []float64) {
+	for c := range 8 {
+		for r := range l {
+			x := acc[c*l+r]
+			for kk := range k {
+				x -= v[l*kk+r] * s[c*stride+kk]
+			}
+			acc[c*l+r] = x
+		}
 	}
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 400; trial++ {
-		k := rng.Intn(301)
-		stride := k + rng.Intn(5)
-		v := make([]float64, 4*k+1)
-		s := make([]float64, 8*stride+1)
-		for i := range v {
-			v[i] = leafValue(rng)
+	if !fin {
+		return
+	}
+	for c := range 8 {
+		for r := range l {
+			x := acc[c*l+r]
+			for kk := range c {
+				x -= acc[kk*l+r] * s[c*stride+k+kk]
+			}
+			x /= s[c*stride+k+c]
+			acc[c*l+r], v[l*(k+c)+r] = x, x
 		}
-		for i := range s {
-			s[i] = leafValue(rng)
-		}
-		var acc, want [32]float64
-		for i := range acc {
-			acc[i] = leafValue(rng)
-		}
-		want = acc
-		for c := 0; c < 8; c++ {
-			for r := 0; r < 4; r++ {
-				x := want[c*4+r]
-				for kk := 0; kk < k; kk++ {
-					x -= v[4*kk+r] * s[c*stride+kk]
+	}
+}
+
+// TestTileLeafMatchesScalar pins every lane of both tile widths, plain
+// and finishing, to scalarLeaf over the same k order, bit for bit: k from
+// 0 up to 300, signed zeros, subnormal operands and results, products
+// that overflow to ±Inf, and pivots of ±0, subnormal and ±Inf magnitude.
+// The finishing leaves must store exactly the finished lanes into v.
+func TestTileLeafMatchesScalar(t *testing.T) {
+	for _, l := range tileWidths {
+		for _, fin := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%d-lane finish=%v", l, fin), func(t *testing.T) {
+				requireLanes(t, l)
+				rng := rand.New(rand.NewSource(19))
+				for trial := range 400 {
+					k := rng.Intn(301)
+					if trial < 3 {
+						k = trial
+					}
+					stride := k + 8 + rng.Intn(5)
+					v := make([]float64, l*(k+8)+1)
+					s := make([]float64, 8*stride+1)
+					for i := range v {
+						v[i] = leafValue(rng)
+					}
+					for i := range s {
+						s[i] = leafValue(rng)
+					}
+					for c := range 8 {
+						if rng.Intn(4) == 0 {
+							s[c*stride+k+c] = math.Copysign(math.Inf(1), leafValue(rng))
+						}
+					}
+					var acc [64]float64
+					for i := range acc[:8*l] {
+						acc[i] = leafValue(rng)
+					}
+					want, wantV := acc, append([]float64(nil), v...)
+					scalarLeaf(l, fin, wantV, s, stride, k, want[:])
+					leaf(l, fin, &v[0], &s[0], stride, k, &acc)
+					name := fmt.Sprintf("trial %d (k=%d)", trial, k)
+					requireSameBits(t, name+": acc", acc[:], want[:])
+					requireSameBits(t, name+": v", v, wantV)
 				}
-				want[c*4+r] = x
-			}
+			})
 		}
-		tile4x8(&v[0], &s[0], stride, k, &acc)
-		for i := range want {
-			if math.Float64bits(acc[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d (k=%d): lane %d = %v (%#x), scalar %v (%#x)",
-					trial, k, i, acc[i], math.Float64bits(acc[i]), want[i], math.Float64bits(want[i]))
+	}
+}
+
+// BenchmarkTileLeaf runs each plain leaf over k = 256 in cache and
+// reports its rate: 2·8·L flops per kk.
+func BenchmarkTileLeaf(b *testing.B) {
+	const k = 256
+	for _, l := range tileWidths {
+		b.Run(fmt.Sprintf("%d-lane", l), func(b *testing.B) {
+			requireLanes(b, l)
+			rng := rand.New(rand.NewSource(1))
+			v, s := make([]float64, l*k), make([]float64, 8*k)
+			for i := range v {
+				v[i] = rng.NormFloat64()
 			}
-		}
+			for i := range s {
+				s[i] = rng.NormFloat64()
+			}
+			var acc [64]float64
+			for range b.N {
+				leaf(l, false, &v[0], &s[0], k, k, &acc)
+			}
+			b.ReportMetric(float64(2*8*l*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }

@@ -14,10 +14,10 @@ import (
 // every example by a direct SqDist scan over the other rows, with the
 // paper's rule restated literally — a strict majority of the neighbors
 // within the radius, a tie to the class with the nearer exemplar, and the
-// first-index nearest neighbor for an empty radius and in 1-NN mode. A NaN
-// distance is never nearest but, not being beyond the radius, votes; with
-// no nearest neighbor at all (every distance NaN) the first example's
-// label is the answer.
+// first-index nearest neighbor for an empty radius and in 1-NN mode. Only
+// a distance within the radius (d² ≤ r²) votes, so a NaN distance neither
+// votes nor is ever nearest; with no nearest neighbor at all (every
+// distance NaN) the first example's label is the answer.
 func oracleLOOCV(d *ml.Dataset, radius float64, oneNN bool) []int {
 	norm := ml.FitNorm(d.Columns())
 	rows := norm.ApplyAll(d)
@@ -39,7 +39,7 @@ func oracleLOOCV(d *ml.Dataset, radius float64, oneNN bool) []int {
 			if d2 < nearestD {
 				nearest, nearestD = j, d2
 			}
-			if !(d2 > r2) {
+			if d2 <= r2 {
 				found++
 				lab := d.Examples[j].Label
 				votes[lab]++

@@ -29,11 +29,11 @@ import (
 // so when the vote over Sᵢ in ascending j finds its nearest row at most
 // τᵢ away, no outside row can beat or tie it, and the first-index rule
 // picks what the full scan picks. In radius mode τᵢ is raised to r², so
-// every voter is in Sᵢ too. Anything else takes the full scan: an
-// undecided row, a row whose committed distances hold a NaN, and a
-// candidate column holding a NaN or ±Inf (whose differences can be NaN),
-// because Vote counts a NaN distance as a radius vote and Sᵢ would miss
-// it.
+// every voter is in Sᵢ too. A row outside Sᵢ whose committed distance or
+// candidate difference is NaN (a NaN or ±Inf feature) lies at a NaN
+// distance, which Vote neither counts as a vote nor takes as nearest, so
+// it cannot change the answer either. Only an undecided row takes the
+// full scan.
 type selectSession struct {
 	n         int
 	cols      [][]float64 // normalized feature columns of the full dataset
@@ -180,15 +180,10 @@ func (s *selectSession) scoreRow(sc *roundScratch, i int, cands []int) {
 		tau = max(tau, s.radius*s.radius)
 	}
 	near, nearD := sc.near[:0], sc.nearD[:0]
-	nanRow := false
 	for j, b := range base {
-		switch {
-		case j == i:
-		case b <= tau:
+		if j != i && b <= tau {
 			near = append(near, j)
 			nearD = append(nearD, b)
-		case math.IsNaN(b):
-			nanRow = true
 		}
 	}
 	sc.near, sc.nearD = near, nearD
@@ -198,16 +193,12 @@ func (s *selectSession) scoreRow(sc *roundScratch, i int, cands []int) {
 		col := s.cols[f]
 		var v ml.Vote[float64]
 		v.Reset(s.radius, s.oneNN)
-		decided := false
-		if !nanRow && s.finite[f] {
-			ci := col[i]
-			for k, j := range near {
-				dc := ci - col[j]
-				v.Observe(j, labels[j], nearD[k]+dc*dc)
-			}
-			decided = all || v.NearestDist() <= tau
+		ci := col[i]
+		for k, j := range near {
+			dc := ci - col[j]
+			v.Observe(j, labels[j], nearD[k]+dc*dc)
 		}
-		if !decided {
+		if !all && v.NearestDist() > tau {
 			v.Reset(s.radius, s.oneNN)
 			s.scan(&v, base, col, i)
 		}

@@ -34,12 +34,13 @@ func (v *Vote[T]) Reset(radius float64, oneNN bool) {
 }
 
 // Observe folds in exemplar j, which carries label, at squared distance d2
-// from the query.
+// from the query. An exemplar votes only when d2 ≤ r², so one at a NaN
+// distance neither votes nor is ever nearest.
 func (v *Vote[T]) Observe(j, label int, d2 T) {
 	if d2 < v.nearestD {
 		v.nearest, v.nearestD = j, d2
 	}
-	if d2 > v.r2 {
+	if !(d2 <= v.r2) {
 		return
 	}
 	v.found++

@@ -1,6 +1,7 @@
 package ml_test
 
 import (
+	"math"
 	"testing"
 
 	"metaopt/internal/ml"
@@ -27,6 +28,8 @@ func checkVote[T float32 | float64](t *testing.T) {
 		{"1-NN takes the first nearest", []T{0.3, 0.1, 0.1}, []int{1, 2, 3}, -1, true, 2},
 		{"excluded exemplar does not vote", []T{0, 0.02, 0.5}, []int{1, 2, 3}, 0, false, 2},
 		{"excluded exemplar is not nearest", []T{0, 0.4, 0.5}, []int{1, 2, 3}, 0, true, 2},
+		{"NaN distance does not vote", []T{T(math.NaN()), 0.02, T(math.NaN()), 0.5}, []int{3, 2, 3, 3}, -1, false, 2},
+		{"NaN distance is not nearest", []T{T(math.NaN()), 0.5, 0.4}, []int{1, 2, 3}, -1, false, 3},
 	} {
 		if got := ml.VoteRow(c.d2, c.labels, c.exclude, 0.3, c.oneNN); got != c.want {
 			t.Errorf("%T %s: label %d, want %d", c.d2[0], c.name, got, c.want)
