@@ -627,7 +627,7 @@ func BenchmarkMeasureAll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig()
 		t := sim.NewTimer(cfg)
-		if _, _, err := t.MeasureAll(l, rng); err != nil {
+		if _, _, err := t.MeasureAll(l, rng, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

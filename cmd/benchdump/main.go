@@ -372,7 +372,7 @@ collect:
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {
 				t := sim.NewTimer(sim.DefaultConfig())
-				if _, _, err := t.MeasureAll(l, rng); err != nil {
+				if _, _, err := t.MeasureAll(l, rng, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-
-	"metaopt/internal/features"
 	"metaopt/internal/heuristic"
 	"metaopt/internal/ir"
 	"metaopt/internal/machine"
@@ -21,48 +18,12 @@ func HeuristicChoice(swpOn bool, m *machine.Desc) Choice {
 	return func(l *ir.Loop) int { return heuristic.NoSWP(l, m) }
 }
 
-// Extractor memoizes feature extraction per loop: the dependence-graph
-// analyses behind the 38 features are far more expensive than a classifier
-// lookup, and the same loop is classified by several methods. It is safe
-// for concurrent use, so the parallel speedup folds share one cache.
-type Extractor struct {
-	Mach  *machine.Desc
-	mu    sync.Mutex
-	cache map[*ir.Loop][]float64
-}
-
-// NewExtractor returns a caching extractor for the machine.
-func NewExtractor(m *machine.Desc) *Extractor {
-	return &Extractor{Mach: m, cache: map[*ir.Loop][]float64{}}
-}
-
-// Vector returns the loop's full 38-feature vector, cached. Extraction is
-// deterministic; when two workers race on a miss the first store wins and
-// the loser adopts it. Extraction runs outside the lock so a slow loop
-// does not serialize unrelated lookups.
-func (e *Extractor) Vector(l *ir.Loop) []float64 {
-	e.mu.Lock()
-	v, ok := e.cache[l]
-	e.mu.Unlock()
-	if ok {
-		return v
-	}
-	v = features.Extract(l, e.Mach)
-	e.mu.Lock()
-	if prev, ok := e.cache[l]; ok {
-		v = prev
-	} else {
-		e.cache[l] = v
-	}
-	e.mu.Unlock()
-	return v
-}
-
-// ClassifierChoice wraps a trained classifier: it extracts the loop's
-// feature vector, projects it onto the selected features, and predicts.
-func ClassifierChoice(c ml.Classifier, ex *Extractor, featIdx []int) Choice {
+// ClassifierChoice wraps a trained classifier: it takes the loop's full
+// feature vector from vector, projects it onto the selected features, and
+// predicts.
+func ClassifierChoice(c ml.Classifier, vector func(*ir.Loop) []float64, featIdx []int) Choice {
 	return func(l *ir.Loop) int {
-		full := ex.Vector(l)
+		full := vector(l)
 		v := full
 		if featIdx != nil {
 			v = make([]float64, len(featIdx))

@@ -54,8 +54,8 @@ type Labels struct {
 // Benchmarks are labeled concurrently — the paper's collection was "a
 // completely unsupervised process" run in parallel across machines — over
 // the shared worker pool, every worker compiling into the Timer's
-// concurrency-safe sharded cache (so each (loop, unroll) pair is compiled
-// once for the whole run, not once per worker). Compilation is
+// concurrency-safe per-loop records (so each (loop, unroll) pair is
+// compiled once for the whole run, not once per worker). Compilation is
 // deterministic and each benchmark's noise stream is seeded by its name,
 // so results are bit-identical to a serial pass.
 // Interrupted runs can be checkpointed and resumed bit-identically; see
@@ -68,19 +68,19 @@ func labelBenchmark(b *loopgen.Benchmark, t *sim.Timer, seed int64, errOut *erro
 	rng := rand.New(rand.NewSource(seed ^ int64(hashString(b.Name))))
 	out := make([]*LoopLabel, 0, len(b.Loops))
 	for _, l := range b.Loops {
-		ll := &LoopLabel{Loop: l, Benchmark: b.Name}
-		for u := 1; u <= transform.MaxFactor; u++ {
-			cyc, err := t.MeasureScaled(l, u, rng, b.NoiseScale)
-			if err != nil {
-				*errOut = fmt.Errorf("core: labeling %s/%s: %w", b.Name, l.Name, err)
-				return nil
-			}
-			ll.Cycles[u] = cyc
+		cycles, usable, err := t.MeasureAll(l, rng, b.NoiseScale)
+		if err != nil {
+			*errOut = fmt.Errorf("core: labeling %s/%s: %w", b.Name, l.Name, err)
+			return nil
 		}
-		ll.Best = bestFactor(ll.Cycles)
-		ll.Usable = ll.Cycles[1] >= t.Cfg.MinCycles
-		ll.Kept = ll.Usable && passesFilter(ll.Cycles)
-		out = append(out, ll)
+		out = append(out, &LoopLabel{
+			Loop:      l,
+			Benchmark: b.Name,
+			Cycles:    cycles,
+			Best:      bestFactor(cycles),
+			Usable:    usable,
+			Kept:      usable && passesFilter(cycles),
+		})
 	}
 	return out
 }

@@ -93,35 +93,3 @@ func TestParallelBitIdenticalToSerial(t *testing.T) {
 		t.Fatalf("speedup summaries differ:\nserial:   %+v\nparallel: %+v", sum1, sum8)
 	}
 }
-
-// TestExtractorConcurrent exercises the shared feature-extraction cache
-// from the pool (meaningful under -race).
-func TestExtractorConcurrent(t *testing.T) {
-	c, err := loopgen.Generate(loopgen.Options{Seed: 43, LoopsScale: 0.03})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.DefaultConfig()
-	ex := NewExtractor(cfg.Mach)
-	var loops []*LoopLabel
-	for _, b := range c.Benchmarks {
-		for _, l := range b.Loops {
-			loops = append(loops, &LoopLabel{Loop: l, Benchmark: b.Name})
-		}
-	}
-	restore := par.SetLimit(8)
-	defer restore()
-	got := make([][]float64, len(loops)*2)
-	if err := par.ForEach(len(got), func(i int) error {
-		got[i] = ex.Vector(loops[i%len(loops)].Loop)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range loops {
-		a, b := got[i], got[i+len(loops)]
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("loop %d: concurrent extractions disagree", i)
-		}
-	}
-}

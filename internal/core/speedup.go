@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 
+	"metaopt/internal/features"
+	"metaopt/internal/ir"
 	"metaopt/internal/loopgen"
 	"metaopt/internal/ml"
 	"metaopt/internal/ml/nn"
@@ -58,7 +60,7 @@ func DefaultSpeedupOptions() SpeedupOptions {
 // decides whether software pipelining is on (Figure 5) or off (Figure 4).
 //
 // The leave-one-benchmark-out folds are independent, so they run across
-// the shared worker pool against the shared timer cache; every
+// the shared worker pool against the shared timer; every
 // measurement's rng is seeded by (benchmark, method), and rows are written
 // in benchmark-list order, so the summary is bit-identical to a serial
 // run.
@@ -69,7 +71,6 @@ func Speedups(c *loopgen.Corpus, lb *Labels, d *ml.Dataset, featIdx []int,
 	defer sp.End()
 	sel := d.Select(featIdx)
 	m := t.Cfg.Mach
-	ex := NewExtractor(m)
 	base := HeuristicChoice(t.Cfg.SWP, m)
 	benches := c.Spec2000()
 	rows := make([]SpeedupRow, len(benches))
@@ -91,6 +92,18 @@ func Speedups(c *loopgen.Corpus, lb *Labels, d *ml.Dataset, featIdx []int,
 			return fmt.Errorf("core: %s: SVM: %w", b.Name, err)
 		}
 
+		// A fold classifies only its own benchmark's loops, each once per
+		// classifier: extract each loop's features once for both.
+		feats := make(map[*ir.Loop][]float64, len(b.Loops))
+		vector := func(l *ir.Loop) []float64 {
+			v, ok := feats[l]
+			if !ok {
+				v = features.Extract(l, m)
+				feats[l] = v
+			}
+			return v
+		}
+
 		// Methods are evaluated in a fixed order (the baseline first — the
 		// serial fraction is anchored to it) so timing/debug output and any
 		// future shared-rng refactor stay deterministic.
@@ -99,8 +112,8 @@ func Speedups(c *loopgen.Corpus, lb *Labels, d *ml.Dataset, featIdx []int,
 			ch   Choice
 		}{
 			{"base", base},
-			{"nn", ClassifierChoice(nnC, ex, featIdx)},
-			{"svm", ClassifierChoice(svmC, ex, featIdx)},
+			{"nn", ClassifierChoice(nnC, vector, featIdx)},
+			{"svm", ClassifierChoice(svmC, vector, featIdx)},
 			{"oracle", OracleChoice(lb, base)},
 		}
 		times := make(map[string]float64, len(methods))

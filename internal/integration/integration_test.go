@@ -144,11 +144,11 @@ func TestMeasurementDeterminismAcrossTimers(t *testing.T) {
 	rngB := rand.New(rand.NewSource(9))
 	for _, l := range ls[:20] {
 		for u := 1; u <= 4; u++ {
-			ca, err := a.Measure(l, u, rngA)
+			ca, err := a.MeasureScaled(l, u, rngA, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cb, err := b.Measure(l, u, rngB)
+			cb, err := b.MeasureScaled(l, u, rngB, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

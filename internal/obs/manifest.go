@@ -11,9 +11,8 @@ import (
 // what, and every telemetry value at exit. Written by the -manifest flag of
 // cmd/experiments and cmd/labelgen; diff two manifests (ignoring the
 // wall-clock fields) to compare runs. Metric values under Counters are
-// deterministic for a fixed seed and scale — except the *.races counters,
-// which count scheduling-dependent duplicate compiles — while Phases,
-// Stages, and Histograms carry wall-clock measurements that naturally vary.
+// deterministic for a fixed seed and scale, while Phases, Stages, and
+// Histograms carry wall-clock measurements that naturally vary.
 type Manifest struct {
 	Tool string   `json:"tool"`
 	Args []string `json:"args,omitempty"`

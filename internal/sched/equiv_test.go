@@ -167,8 +167,7 @@ kernel stencil lang=c {
 // cycle-exact agreement.
 func TestHeapMatchesStableSort(t *testing.T) {
 	m := machine.Itanium2()
-	sc := Get()
-	defer Put(sc)
+	var sc Scheduler
 	var s Schedule
 	for _, src := range equivKernels {
 		k, err := lang.ParseKernel(src)
@@ -204,8 +203,8 @@ func TestHeapMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestListIntoZeroAllocs pins the pooled scheduling path at zero heap
-// allocations per call in steady state.
+// TestListIntoZeroAllocs pins a Scheduler's steady state at zero heap
+// allocations per call.
 func TestListIntoZeroAllocs(t *testing.T) {
 	k, err := lang.ParseKernel(daxpy)
 	if err != nil {
@@ -220,8 +219,7 @@ func TestListIntoZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := analysis.Build(ul, machine.Itanium2())
-	sc := Get()
-	defer Put(sc)
+	var sc Scheduler
 	var s Schedule
 	sc.ListInto(g, &s) // warm the scratch state
 	allocs := testing.AllocsPerRun(100, func() {

@@ -11,15 +11,6 @@ import (
 
 	"metaopt/internal/analysis"
 	"metaopt/internal/machine"
-	"metaopt/internal/obs"
-)
-
-// Scheduler pool telemetry: the labeler schedules every candidate body
-// through the shared pool, so hits vs. misses is the steady-state
-// allocation story.
-var (
-	mPoolHits   = obs.C("sched.pool_hits")
-	mPoolMisses = obs.C("sched.pool_misses")
 )
 
 // Schedule is the result of list-scheduling one loop body.
@@ -107,35 +98,19 @@ type Scheduler struct {
 	next     readyHeap // deferred + newly enabled ops for the next pass
 	unitUse  [machine.NumUnitKinds][]int
 	issueUse []int
-	warm     bool // has been through the pool at least once (telemetry)
 }
 
 // pool is the shared scratch-state pool behind the package-level List;
 // internal/sim and internal/swp schedule every candidate body through it.
 var pool = sync.Pool{New: func() any { return new(Scheduler) }}
 
-// Get returns a pooled Scheduler; pair with Put.
-func Get() *Scheduler {
-	sc := pool.Get().(*Scheduler)
-	if sc.warm {
-		mPoolHits.Inc()
-	} else {
-		mPoolMisses.Inc()
-		sc.warm = true
-	}
-	return sc
-}
-
-// Put returns a Scheduler to the pool.
-func Put(sc *Scheduler) { pool.Put(sc) }
-
 // List schedules the body of g's loop using pooled scratch state. It
 // always succeeds: the dependence graph restricted to same-iteration edges
 // is acyclic by IR construction.
 func List(g *analysis.Graph) *Schedule {
-	sc := Get()
+	sc := pool.Get().(*Scheduler)
 	s := sc.ListInto(g, &Schedule{})
-	Put(sc)
+	pool.Put(sc)
 	return s
 }
 

@@ -372,6 +372,59 @@ func TestServeShadowFraction(t *testing.T) {
 	}
 }
 
+// TestServeShadowScoresPinnedVersion mirrors /v2 traffic pinned to a
+// non-default version to a shadow of that same version. The shadow must
+// be compared with the version that answered, not the default: here the
+// default reads five features and cannot take the pinned requests'
+// three, so scoring against it turns every sample into an error.
+func TestServeShadowScoresPinnedVersion(t *testing.T) {
+	train := func(feats []int) *unroll.Predictor {
+		p, err := unroll.Train(testDataset(t), unroll.TrainOptions{Algorithm: unroll.NearNeighbor, Features: feats, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	def, pinned := train([]int{0, 1, 2, 3, 4}), train([]int{5, 6, 7})
+	path := filepath.Join(t.TempDir(), "pinned.json")
+	if err := pinned.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	_, c := newTestServer(t, Config{Model: def, CacheSize: -1, RequestTimeout: 30 * time.Second})
+	ctx := context.Background()
+	if _, err := c.ModelLoad(ctx, client.ModelLoadRequest{Path: path, Alias: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Shadow(ctx, path, 1.0); err != nil {
+		t.Fatal(err)
+	}
+
+	const total = 10
+	for i := 0; i < total; i++ {
+		full := unroll.Features(parseKernel(t, testKernels[i%len(testKernels)]), unroll.Itanium2())
+		resp, err := c.PredictV2(ctx, client.PredictV2Request{
+			PredictRequest: client.PredictRequest{Features: []float64{full[5], full[6], full[7]}},
+			Model:          "b",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Fingerprint != pinned.Fingerprint() {
+			t.Fatalf("pinned request served by %q, want %q", resp.Fingerprint, pinned.Fingerprint())
+		}
+	}
+	var rep *client.ShadowReport
+	var err error
+	waitFor(t, "shadow mirror to drain", func() bool {
+		rep, err = c.ShadowReport(ctx)
+		return err == nil && rep.Mirrored+rep.Dropped+rep.Errors >= total
+	})
+	if rep.Mirrored != total || rep.Agree != total || rep.Errors != 0 {
+		t.Errorf("shadow of the pinned version: mirrored %d, agree %d, errors %d; want %d, %d, 0",
+			rep.Mirrored, rep.Agree, rep.Errors, total, total)
+	}
+}
+
 // TestServeRecordsNoPhaseSpans checks that answering requests adds no
 // record to the process-wide research trace: it holds at most 65,536
 // records, so a long-running server would fill it and /debug/trace would

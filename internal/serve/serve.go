@@ -771,7 +771,7 @@ func (s *Server) runBatch(ar *batchArena) {
 				if it.key != "" {
 					s.cache.put(it.key, it.factor)
 				}
-				s.maybeShadow(it)
+				s.maybeShadow(j.st, it)
 			}
 		}
 		j.finish()

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"metaopt/internal/registry"
 	"metaopt/unroll"
 	"metaopt/unroll/client"
 )
@@ -45,11 +46,13 @@ type shadowState struct {
 	confusion [(unroll.MaxFactor + 1) * (unroll.MaxFactor + 1)]atomic.Int64
 }
 
-// shadowTask is one mirrored decision: the request inputs plus the factor
-// the live model answered. Inputs are per-request allocations (never
-// recycled arena storage), so holding them past the response is safe.
+// shadowTask is one mirrored decision: the request inputs plus the
+// version that answered it and its factor. Inputs are per-request
+// allocations (never recycled arena storage), so holding them past the
+// response is safe.
 type shadowTask struct {
 	st     *shadowState
+	prim   *registry.Model // the version the request resolved to
 	feats  []float64
 	loop   *unroll.Loop
 	factor int // the answer the client actually received
@@ -63,11 +66,12 @@ func shadowSampled(n, mille int64) bool {
 	return (n*mille)/1000 != ((n-1)*mille)/1000
 }
 
-// maybeShadow mirrors one successfully answered item to the shadow model.
-// Called by the batch worker after the primary answer is final; the only
-// cost on the serving path is an atomic increment and a non-blocking
-// channel send. A full shadow queue drops the sample and counts the drop.
-func (s *Server) maybeShadow(it *item) {
+// maybeShadow mirrors one item that prim answered successfully to the
+// shadow model. Called by the batch worker after the primary answer is
+// final; the only cost on the serving path is an atomic increment and a
+// non-blocking channel send. A full shadow queue drops the sample and
+// counts the drop.
+func (s *Server) maybeShadow(prim *registry.Model, it *item) {
 	sh := s.shadow.Load()
 	if sh == nil {
 		return
@@ -76,7 +80,7 @@ func (s *Server) maybeShadow(it *item) {
 		return
 	}
 	select {
-	case s.shadowq <- shadowTask{st: sh, feats: it.feats, loop: it.loop, factor: it.factor}:
+	case s.shadowq <- shadowTask{st: sh, prim: prim, feats: it.feats, loop: it.loop, factor: it.factor}:
 	default:
 		sh.dropped.Add(1)
 		mShadowDropped.Inc()
@@ -92,10 +96,10 @@ func (s *Server) shadowWorker() {
 }
 
 // runShadow scores one mirrored decision: the shadow model predicts the
-// same input, agreement and the confusion cell are recorded, and both
-// models are timed back-to-back so the latency delta compares like with
-// like. A panicking shadow model counts an error and never disturbs
-// serving.
+// same input, agreement and the confusion cell are recorded, and the
+// shadow and the version that answered are timed back-to-back so the
+// latency delta compares like with like. A panicking shadow model counts
+// an error and never disturbs serving.
 func (s *Server) runShadow(t shadowTask) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -104,10 +108,8 @@ func (s *Server) runShadow(t shadowTask) {
 			log.Printf("serve: shadow panic: %v", r)
 		}
 	}()
-	prim := s.reg.Default()
-
 	start := time.Now()
-	_, primErr := predictOn(prim.Pred, t)
+	_, primErr := predictOn(t.prim.Pred, t)
 	primNS := time.Since(start).Nanoseconds()
 
 	start = time.Now()

@@ -20,10 +20,12 @@ func TestCompileAllocCeiling(t *testing.T) {
 		tm := exactTimer(swpOn)
 		for _, src := range reuseKernels {
 			l := loop(t, src)
-			ls := tm.sharedFor(l)
+			rec := tm.record(l)
 			for u := 1; u <= transform.MaxFactor; u++ {
 				compile := func() {
-					if _, err := tm.compileLoopShared(l, u, ls); err != nil {
+					rec.mu.Lock()
+					defer rec.mu.Unlock()
+					if _, err := tm.compileLoop(l, u, rec); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -1,17 +1,21 @@
 package sim
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
 	"metaopt/internal/ir"
+	"metaopt/internal/obs"
 	"metaopt/internal/transform"
 )
 
-// TestTimerSharedCacheConcurrent hammers one Timer's sharded compile and
-// remainder caches from many goroutines (run under -race in CI) and checks
-// every concurrent answer against a serially-filled reference timer.
+// TestTimerSharedCacheConcurrent has 16 goroutines visit every (loop,
+// unroll) pair of one Timer at once (run under -race in CI). Every answer
+// must match a serially filled Timer, and the loop records must compile
+// each pair exactly once: 24 compile misses and as many schedules built
+// as the serial fill. The goroutines leave a common start and visit the
+// pairs in the same order, so they keep arriving at a pair another one is
+// still compiling; each of several rounds fills a fresh Timer.
 func TestTimerSharedCacheConcurrent(t *testing.T) {
 	srcs := []string{
 		`kernel a lang=c {
@@ -39,6 +43,7 @@ func TestTimerSharedCacheConcurrent(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Noise = 0
 	cfg.BiasNoise = 0
+	obs.Reset()
 	ref := NewTimer(cfg)
 	want := map[[2]int]int64{}
 	for li, l := range loops {
@@ -50,36 +55,63 @@ func TestTimerSharedCacheConcurrent(t *testing.T) {
 			want[[2]int{li, u}] = c
 		}
 	}
+	serialSchedules := mSchedules.Value()
 
-	shared := NewTimer(cfg)
-	const goroutines = 16
-	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for iter := 0; iter < 200; iter++ {
-				li := rng.Intn(len(loops))
-				u := 1 + rng.Intn(transform.MaxFactor)
-				c, err := shared.Cycles(loops[li], u)
-				if err != nil {
-					errs[g] = err
-					return
+	const rounds, goroutines = 10, 16
+	for round := 0; round < rounds; round++ {
+		obs.Reset()
+		shared := NewTimer(cfg)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		errs := make([]error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for li, l := range loops {
+					for u := 1; u <= transform.MaxFactor; u++ {
+						c, err := shared.Cycles(l, u)
+						if err != nil {
+							errs[g] = err
+							return
+						}
+						if c != want[[2]int{li, u}] {
+							t.Errorf("goroutine %d: loop %d u=%d: got %d, want %d",
+								g, li, u, c, want[[2]int{li, u}])
+							return
+						}
+					}
 				}
-				if c != want[[2]int{li, u}] {
-					t.Errorf("goroutine %d: loop %d u=%d: got %d, want %d",
-						g, li, u, c, want[[2]int{li, u}])
-					return
-				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(g)
+		}
+		if got, wantMisses := mCompileMisses.Value(), int64(len(loops)*transform.MaxFactor); got != wantMisses {
+			t.Fatalf("round %d: sim.compile_cache.misses = %d, want %d (one compile per pair)", round, got, wantMisses)
+		}
+		if got := mSchedules.Value(); got != serialSchedules {
+			t.Fatalf("round %d: sim.schedules_built = %d, serial fill built %d", round, got, serialSchedules)
+		}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
+}
+
+// TestCyclesRejectsOutOfRangeFactor: a factor outside [1, MaxFactor] is
+// an error, not a compile.
+func TestCyclesRejectsOutOfRangeFactor(t *testing.T) {
+	l := loop(t, daxpy)
+	tm := exactTimer(false)
+	for _, u := range []int{0, transform.MaxFactor + 1} {
+		if c, err := tm.Cycles(l, u); err == nil {
+			t.Errorf("Cycles(l, %d) = %d, want an error", u, c)
+		}
+		if _, err := tm.Stats(l, u); err == nil {
+			t.Errorf("Stats(l, %d) succeeded, want an error", u)
 		}
 	}
 }

@@ -30,11 +30,12 @@ kernel search lang=c {
 }`,
 }
 
-// TestCompileReuseBitIdentical compiles every kernel at every factor twice:
-// through the shared per-loop state (the production path, where validation
-// and the rolled-body recurrence analysis run once per loop) and with a
-// fresh unshared state per call (the old independent-per-factor behaviour).
-// Cycle counts and compile stats must match exactly.
+// TestCompileReuseBitIdentical compiles every kernel at every factor
+// twice: through one Timer, whose loop record shares validation, the
+// rolled-body recurrence analysis and the remainder price across factors
+// (the production path), and through a fresh Timer per call, which
+// computes all of them for that factor alone. Cycle counts and compile
+// stats must match exactly.
 func TestCompileReuseBitIdentical(t *testing.T) {
 	for _, swpOn := range []bool{false, true} {
 		tm := exactTimer(swpOn)
@@ -45,16 +46,16 @@ func TestCompileReuseBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("swp=%v %s u=%d: shared: %v", swpOn, l.Name, u, err)
 				}
-				want, err := tm.compileLoopShared(l, u, &loopShared{})
+				want, err := exactTimer(swpOn).compile(l, u)
 				if err != nil {
-					t.Fatalf("swp=%v %s u=%d: independent: %v", swpOn, l.Name, u, err)
+					t.Fatalf("swp=%v %s u=%d: fresh: %v", swpOn, l.Name, u, err)
 				}
 				if got.perEntry != want.perEntry {
-					t.Errorf("swp=%v %s u=%d: perEntry %v != independent %v",
+					t.Errorf("swp=%v %s u=%d: perEntry %v != fresh %v",
 						swpOn, l.Name, u, got.perEntry, want.perEntry)
 				}
 				if got.stats != want.stats {
-					t.Errorf("swp=%v %s u=%d: stats %+v != independent %+v",
+					t.Errorf("swp=%v %s u=%d: stats %+v != fresh %+v",
 						swpOn, l.Name, u, got.stats, want.stats)
 				}
 			}

@@ -10,7 +10,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 
 	"metaopt/internal/analysis"
@@ -23,21 +22,12 @@ import (
 	"metaopt/internal/transform"
 )
 
-// Cache and measurement telemetry. Hit/miss accounting is deterministic
-// even with racing workers: a miss is counted only by the worker whose
-// store wins, so misses equals the number of distinct keys compiled and
-// hits equals lookups minus misses. A worker that compiled redundantly
-// (lost the store race and adopted the winner's result) counts as a hit
-// plus a race — the races counter is the only scheduling-dependent value.
+// Compile and measurement telemetry. A Timer compiles each (loop, unroll)
+// pair at most once, so misses count the distinct pairs compiled and hits
+// count every other lookup, however the workers interleave.
 var (
 	mCompileHits   = obs.C("sim.compile_cache.hits")
 	mCompileMisses = obs.C("sim.compile_cache.misses")
-	mCompileRaces  = obs.C("sim.compile_cache.races")
-	mRemHits       = obs.C("sim.remainder_cache.hits")
-	mRemMisses     = obs.C("sim.remainder_cache.misses")
-	mRemRaces      = obs.C("sim.remainder_cache.races")
-	mSharedHits    = obs.C("sim.loop_shared.hits")
-	mSharedMisses  = obs.C("sim.loop_shared.misses")
 	mSchedules     = obs.C("sim.schedules_built")
 	mMeasurements  = obs.C("sim.measurements")
 	mCycles        = obs.C("sim.cycles_simulated")
@@ -103,77 +93,38 @@ type CompileStats struct {
 	Pipelined   bool
 }
 
-// cacheShards stripes the compile cache: concurrent workers hash to
-// different shards and rarely contend on the same lock.
-const cacheShards = 64
-
-// Timer compiles and times loops, caching compilations: label collection
-// re-times the same (loop, unroll) pairs many times. A Timer is safe for
-// concurrent use — the compile and remainder caches are sharded so the
-// whole evaluation pipeline can share one Timer (and one compilation of
-// the corpus) across the worker pool.
+// Timer compiles and times loops, keeping one record per loop: label
+// collection and the speedup folds re-time the same (loop, unroll) pairs
+// many times. A Timer is safe for concurrent use, so the whole evaluation
+// pipeline shares one Timer (and one compilation of the corpus) across the
+// worker pool. Cfg must not change once the Timer is in use.
 type Timer struct {
-	Cfg    *Config
-	shards [cacheShards]compileShard
-	rem    [cacheShards]remainderShard
-	shared [cacheShards]sharedShard
+	Cfg *Config
+
+	mu    sync.Mutex
+	loops map[*ir.Loop]*loopRecord
 }
 
-type compileShard struct {
+// loopRecord is what a Timer knows about one loop, filled in on demand:
+// the input validation, the rolled body's recurrence ratio and remainder
+// cost, which every factor shares, and the compile at each factor. mu is
+// held while a missing part is computed, so concurrent callers wait for
+// that one computation instead of repeating it. A compile that fails or
+// panics stores nothing; a validation error is stored, since the loop is
+// invalid at every factor.
+type loopRecord struct {
 	mu sync.Mutex
-	m  map[timerKey]*compiled
-}
 
-type remainderShard struct {
-	mu sync.Mutex
-	m  map[*ir.Loop]float64
-}
+	validated   bool
+	validateErr error
 
-type sharedShard struct {
-	mu sync.Mutex
-	m  map[*ir.Loop]*loopShared
-}
+	hasRecurrence bool
+	rn, rd        int
 
-// loopShared is the per-loop state every unroll factor of the same loop can
-// reuse: the one-time input validation and the rolled body's recurrence
-// ratio. The eight factor compiles of one loop used to repeat both —
-// validation per factor and a full clone+dependence-analysis of the rolled
-// body inside pipelineMII per factor.
-type loopShared struct {
-	validateOnce sync.Once
-	validateErr  error
+	hasRemainder bool
+	remainder    float64
 
-	recOnce sync.Once
-	rn, rd  int
-}
-
-// validated runs l.Validate exactly once per loop, whatever unroll factor
-// asks first.
-func (ls *loopShared) validated(l *ir.Loop) error {
-	ls.validateOnce.Do(func() {
-		if err := l.Validate(); err != nil {
-			ls.validateErr = fmt.Errorf("transform: input: %w", err)
-		}
-	})
-	return ls.validateErr
-}
-
-// recurrence returns the rolled body's recurrence ratio excluding the
-// induction update, computed once per loop and shared by all factors.
-func (ls *loopShared) recurrence(l *ir.Loop, m *machine.Desc) (rn, rd int) {
-	ls.recOnce.Do(func() {
-		rg := analysis.Build(l.Clone(), m)
-		ls.rn, ls.rd = rg.RecurrenceRatioExcluding(func(op *ir.Op) bool {
-			return op.Code == ir.OpAdd && selfCarried(op)
-		})
-	})
-	return ls.rn, ls.rd
-}
-
-type timerKey struct {
-	loop *ir.Loop
-	u    int
-	swp  bool
+	compiles [transform.MaxFactor + 1]*compiled
 }
 
 type compiled struct {
@@ -181,21 +132,9 @@ type compiled struct {
 	stats    CompileStats
 }
 
-// NewTimer returns a Timer for the given configuration. Shard maps are
-// created lazily under their shard lock, so a short-lived Timer does not
-// pay for 2×64 empty maps up front.
+// NewTimer returns a Timer for the given configuration.
 func NewTimer(cfg *Config) *Timer {
-	return &Timer{Cfg: cfg}
-}
-
-// shardOf mixes the loop's identity and the unroll factor into a shard
-// index (SplitMix64 finalizer over the pointer bits).
-func shardOf(l *ir.Loop, u int) uint32 {
-	h := uint64(reflect.ValueOf(l).Pointer()) + uint64(u)*0x9e3779b97f4a7c15
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	h ^= h >> 31
-	return uint32(h % cacheShards)
+	return &Timer{Cfg: cfg, loops: map[*ir.Loop]*loopRecord{}}
 }
 
 // Cycles returns the deterministic total cycles loop l consumes per program
@@ -217,71 +156,63 @@ func (t *Timer) Stats(l *ir.Loop, u int) (CompileStats, error) {
 	return c.stats, nil
 }
 
-// compile returns the cached compilation of (l, u), compiling on a miss.
-// Compilation is deterministic, so two workers racing on the same key
-// compute identical results; the first store wins and the loser adopts it,
-// keeping the cache single-valued. The compile itself runs outside the
-// shard lock — it may recurse into the remainder cache, whose key can land
-// on the same shard index.
+// record returns l's record, creating it on first sight of the loop.
+func (t *Timer) record(l *ir.Loop) *loopRecord {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r, ok := t.loops[l]
+	if !ok {
+		r = &loopRecord{}
+		t.loops[l] = r
+	}
+	return r
+}
+
+// compile returns the compilation of (l, u), compiling it on first use.
 func (t *Timer) compile(l *ir.Loop, u int) (*compiled, error) {
-	key := timerKey{l, u, t.Cfg.SWP}
-	sh := &t.shards[shardOf(l, u)]
-	sh.mu.Lock()
-	c, ok := sh.m[key]
-	sh.mu.Unlock()
-	if ok {
+	if u < 1 || u > transform.MaxFactor {
+		return nil, fmt.Errorf("sim: unroll factor %d out of range [1,%d]", u, transform.MaxFactor)
+	}
+	rec := t.record(l)
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if c := rec.compiles[u]; c != nil {
 		mCompileHits.Inc()
 		return c, nil
 	}
-	c, err := t.compileLoop(l, u)
+	c, err := t.compileLoop(l, u, rec)
 	if err != nil {
 		return nil, err
 	}
-	sh.mu.Lock()
-	if prev, ok := sh.m[key]; ok {
-		c = prev
-		sh.mu.Unlock()
-		// Lost the store race: the key was compiled exactly once for
-		// accounting purposes, so this call is a (redundant) hit.
-		mCompileHits.Inc()
-		mCompileRaces.Inc()
-		return c, nil
-	}
-	if sh.m == nil {
-		sh.m = map[timerKey]*compiled{}
-	}
-	sh.m[key] = c
-	sh.mu.Unlock()
+	rec.compiles[u] = c
 	mCompileMisses.Inc()
 	return c, nil
 }
 
-// sharedFor returns the per-loop shared compile state, creating it on first
-// sight of the loop. The hit/miss counters give the graph-reuse rate: every
-// hit is a factor compile that skipped the loop-level analysis work.
-func (t *Timer) sharedFor(l *ir.Loop) *loopShared {
-	sh := &t.shared[shardOf(l, 0)]
-	sh.mu.Lock()
-	ls, ok := sh.m[l]
-	if !ok {
-		if sh.m == nil {
-			sh.m = map[*ir.Loop]*loopShared{}
+// validate runs l.Validate once per loop, whatever factor asks first.
+// The caller holds r.mu.
+func (r *loopRecord) validate(l *ir.Loop) error {
+	if !r.validated {
+		if err := l.Validate(); err != nil {
+			r.validateErr = fmt.Errorf("transform: input: %w", err)
 		}
-		ls = &loopShared{}
-		sh.m[l] = ls
+		r.validated = true
 	}
-	sh.mu.Unlock()
-	if ok {
-		mSharedHits.Inc()
-	} else {
-		mSharedMisses.Inc()
-	}
-	return ls
+	return r.validateErr
 }
 
-// compileLoop builds the unrolled variant and prices one loop entry.
-func (t *Timer) compileLoop(l *ir.Loop, u int) (*compiled, error) {
-	return t.compileLoopShared(l, u, t.sharedFor(l))
+// recurrence returns the rolled body's recurrence ratio excluding the
+// induction update, computed once per loop and shared by all factors.
+// The caller holds r.mu.
+func (r *loopRecord) recurrence(l *ir.Loop, m *machine.Desc) (rn, rd int) {
+	if !r.hasRecurrence {
+		rg := analysis.Build(l.Clone(), m)
+		r.rn, r.rd = rg.RecurrenceRatioExcluding(func(op *ir.Op) bool {
+			return op.Code == ir.OpAdd && selfCarried(op)
+		})
+		r.hasRecurrence = true
+	}
+	return r.rn, r.rd
 }
 
 // workspace is what one compile builds and discards: the unrolled loop,
@@ -315,13 +246,12 @@ func (w *workspace) release() {
 	workspacePool.Put(w)
 }
 
-// compileLoopShared compiles (l, u) with ls carrying the loop-level work
-// shared across factors. Passing a fresh, unshared loopShared reproduces the
-// old independent-per-factor compile exactly — the bit-identity test relies
-// on this.
-func (t *Timer) compileLoopShared(l *ir.Loop, u int, ls *loopShared) (*compiled, error) {
+// compileLoop builds the unrolled variant of l at factor u and prices one
+// loop entry, taking the loop-level parts from rec. The caller holds
+// rec.mu.
+func (t *Timer) compileLoop(l *ir.Loop, u int, rec *loopRecord) (*compiled, error) {
 	cfg := t.Cfg
-	if err := ls.validated(l); err != nil {
+	if err := rec.validate(l); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	w, err := t.unroll(l, u)
@@ -339,7 +269,7 @@ func (t *Timer) compileLoopShared(l *ir.Loop, u int, ls *loopShared) (*compiled,
 
 	mSchedules.Inc()
 	if usePipeline {
-		mii := pipelineMII(l, g, u, ls, m)
+		mii := pipelineMII(l, g, u, rec, m)
 		r, err := swp.Schedule(g, mii)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
@@ -417,7 +347,7 @@ func (t *Timer) compileLoopShared(l *ir.Loop, u int, ls *loopShared) (*compiled,
 		rem := trip % u
 		perEntry = float64(bodies)*bodyCycles + fillDrain + setup
 		if rem > 0 {
-			remCycles, err := t.rolledRemainder(l)
+			remCycles, err := t.rolledRemainder(l, rec)
 			if err != nil {
 				return nil, err
 			}
@@ -435,59 +365,39 @@ func (t *Timer) compileLoopShared(l *ir.Loop, u int, ls *loopShared) (*compiled,
 
 // rolledRemainder prices one iteration of the rolled loop (used for the
 // tail of a trip count not divisible by the unroll factor). Remainder
-// iterations always run unpipelined. The schedule is cached per loop: the
-// same rolled tail serves every unroll factor 2..8, so pricing it once
-// removes seven redundant unroll+analysis+schedule+regalloc passes per
-// loop.
-func (t *Timer) rolledRemainder(l *ir.Loop) (float64, error) {
-	sh := &t.rem[shardOf(l, 0)]
-	sh.mu.Lock()
-	v, ok := sh.m[l]
-	sh.mu.Unlock()
-	if ok {
-		mRemHits.Inc()
-		return v, nil
+// iterations always run unpipelined. The price is kept in rec: the same
+// rolled tail serves every unroll factor 2..8, so pricing it once removes
+// seven redundant unroll+analysis+schedule+regalloc passes per loop. The
+// caller holds rec.mu and has validated l.
+func (t *Timer) rolledRemainder(l *ir.Loop, rec *loopRecord) (float64, error) {
+	if rec.hasRemainder {
+		return rec.remainder, nil
 	}
-	// The caller's compile already validated l.
 	w, err := t.unroll(l, 1)
 	if err != nil {
 		return 0, err
 	}
+	defer w.release()
 	s := sched.List(&w.graph)
 	ra := regalloc.RunInto(&w.alloc, s)
 	mSchedules.Inc()
-	v = float64(s.Period + ra.SpillCycles)
-	w.release()
-	sh.mu.Lock()
-	if _, ok := sh.m[l]; ok {
-		v = sh.m[l]
-		sh.mu.Unlock()
-		mRemHits.Inc()
-		mRemRaces.Inc()
-		return v, nil
-	}
-	if sh.m == nil {
-		sh.m = map[*ir.Loop]float64{}
-	}
-	sh.m[l] = v
-	sh.mu.Unlock()
-	mRemMisses.Inc()
-	return v, nil
+	rec.remainder, rec.hasRemainder = float64(s.Period+ra.SpillCycles), true
+	return rec.remainder, nil
 }
 
 // pipelineMII estimates the modulo-scheduling lower bound for the unrolled
 // body: the exact resource bound plus the rolled loop's recurrence ratio
 // scaled by the unroll factor (the induction-variable update is excluded —
-// unrolling folds it). The recurrence ratio comes from the shared per-loop
-// state, so only the first factor pays the rolled-body analysis. In bodies
-// that are not alias-free the estimate can fall far below the unrolled
-// body's own recurrence bound: memory-ordering edges between the unrolled
+// unrolling folds it). The recurrence ratio comes from the loop's record,
+// so only the first factor pays the rolled-body analysis. In bodies that
+// are not alias-free the estimate can fall far below the unrolled body's
+// own recurrence bound: memory-ordering edges between the unrolled
 // copies form longer recurrences. swp.Schedule corrects for this exactly,
 // by skipping the IIs those recurrences rule out.
-func pipelineMII(rolled *ir.Loop, g *analysis.Graph, u int, ls *loopShared, m *machine.Desc) int {
+func pipelineMII(rolled *ir.Loop, g *analysis.Graph, u int, rec *loopRecord, m *machine.Desc) int {
 	num, den := g.ResMII()
 	mii := (num + den - 1) / den
-	rn, rd := ls.recurrence(rolled, m)
+	rn, rd := rec.recurrence(rolled, m)
 	if rd > 0 && rn > 0 {
 		if r := (u*rn + rd - 1) / rd; r > mii {
 			mii = r
@@ -532,16 +442,11 @@ func contextFactors(l *ir.Loop) (hMem, hIC, hBr float64) {
 	return next(), next(), next()
 }
 
-// Measure runs the paper's instrumentation protocol for one (loop, unroll)
-// pair: cfg.Runs noisy executions, reported as the median. The rng makes
-// noise reproducible; measurements from the same rng sequence are
-// independent draws.
-func (t *Timer) Measure(l *ir.Loop, u int, rng *rand.Rand) (int64, error) {
-	return t.MeasureScaled(l, u, rng, 1)
-}
-
-// MeasureScaled measures with the configured noise multiplied by scale —
-// some benchmarks are noisier than others (the paper's mesa/mcf/crafty).
+// MeasureScaled runs the paper's instrumentation protocol for one (loop,
+// unroll) pair: cfg.Runs noisy executions, reported as the median. The rng
+// makes noise reproducible; measurements from the same rng sequence are
+// independent draws. The configured noise is multiplied by scale — some
+// benchmarks are noisier than others (the paper's mesa/mcf/crafty).
 func (t *Timer) MeasureScaled(l *ir.Loop, u int, rng *rand.Rand, scale float64) (int64, error) {
 	base, err := t.Cycles(l, u)
 	if err != nil {
@@ -612,12 +517,12 @@ func selectKth(s []int64, k int) int64 {
 	return s[k]
 }
 
-// MeasureAll measures a loop at every unroll factor 1..MaxFactor and
-// reports whether the loop meets the instrumentation floor at its rolled
-// setting.
-func (t *Timer) MeasureAll(l *ir.Loop, rng *rand.Rand) (cycles [transform.MaxFactor + 1]int64, usable bool, err error) {
+// MeasureAll measures a loop at every unroll factor 1..MaxFactor, in
+// order and with the noise scaled by scale, and reports whether the loop
+// meets the instrumentation floor at its rolled setting.
+func (t *Timer) MeasureAll(l *ir.Loop, rng *rand.Rand, scale float64) (cycles [transform.MaxFactor + 1]int64, usable bool, err error) {
 	for u := 1; u <= transform.MaxFactor; u++ {
-		c, err := t.Measure(l, u, rng)
+		c, err := t.MeasureScaled(l, u, rng, scale)
 		if err != nil {
 			return cycles, false, err
 		}

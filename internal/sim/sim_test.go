@@ -199,7 +199,7 @@ func TestMeasureMedianTracksTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	med, err := tm.Measure(l, 2, rng)
+	med, err := tm.MeasureScaled(l, 2, rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestMeasureAllAndFloor(t *testing.T) {
 	cfg.SWP = false
 	tm := NewTimer(cfg)
 	rng := rand.New(rand.NewSource(7))
-	cycles, usable, err := tm.MeasureAll(l, rng)
+	cycles, usable, err := tm.MeasureAll(l, rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ kernel tiny lang=c {
 	double a[];
 	for i = 0 .. 8 { a[i] = a[i] + 1.0; }
 }`)
-	_, usableSmall, err := tm.MeasureAll(small, rng)
+	_, usableSmall, err := tm.MeasureAll(small, rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestBiasNoiseSurvivesMedian(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	differs := 0
 	for trial := 0; trial < 20; trial++ {
-		m, err := tm.Measure(l, 2, rng)
+		m, err := tm.MeasureScaled(l, 2, rng, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
