@@ -150,7 +150,7 @@ func TestCriticalPath(t *testing.T) {
 	m := machine.Itanium2()
 	// Longest chain: load x (6) → fma (4) → store (1) = 11.
 	want := m.FPLoadLat + m.FPLat + m.StoreLat
-	if got := g.CriticalPath(); got != want {
+	if got := g.Shape().CriticalPath; got != want {
 		t.Errorf("critical path = %d, want %d", got, want)
 	}
 }
@@ -246,17 +246,17 @@ kernel two lang=fortran {
 		d[i] = b[i] * 2.0;
 	}
 }`)
-	comps := g.Components()
 	// Expect: two value chains plus the loop-control component (iv/cmp) —
 	// the iv-add/cmp chain is one more component.
-	if len(comps) != 3 {
-		t.Errorf("components = %d, want 3", len(comps))
+	if got := g.Shape().Components; got != 3 {
+		t.Errorf("components = %d, want 3", got)
 	}
 }
 
 func TestDepHeightsAndFanIn(t *testing.T) {
 	g := mustGraph(t, daxpy)
-	max, mean := g.DepHeights()
+	s := g.Shape()
+	max, mean := s.MaxDepHeight, s.AvgDepHeight
 	if max <= 0 || mean <= 0 || float64(max) < mean {
 		t.Errorf("heights = %d/%.2f", max, mean)
 	}
@@ -304,8 +304,9 @@ kernel chain lang=c {
 
 func TestLiveValueEstimate(t *testing.T) {
 	g := mustGraph(t, daxpy)
-	if got := g.LiveValueEstimate(); got < 2 {
-		t.Errorf("live estimate = %d", got)
+	peak := g.Shape().LivePeak
+	if peak < 2 {
+		t.Errorf("live estimate = %d", peak)
 	}
 	// A wider loop must have more simultaneously-live values.
 	g2 := mustGraph(t, `
@@ -315,8 +316,8 @@ kernel wide lang=fortran {
 		o[i] = a[i]*b[i] + c[i]*d[i] + e[i]*f[i];
 	}
 }`)
-	if g2.LiveValueEstimate() <= g.LiveValueEstimate() {
-		t.Errorf("wide live %d <= daxpy live %d", g2.LiveValueEstimate(), g.LiveValueEstimate())
+	if wide := g2.Shape().LivePeak; wide <= peak {
+		t.Errorf("wide live %d <= daxpy live %d", wide, peak)
 	}
 }
 
@@ -359,8 +360,8 @@ kernel exits lang=c {
 
 func TestEstimatedCycleLength(t *testing.T) {
 	g := mustGraph(t, daxpy)
-	if got := g.EstimatedCycleLength(); got < g.CriticalPath() {
-		t.Errorf("estimated cycle length %d < critical path %d", got, g.CriticalPath())
+	if s := g.Shape(); s.CycleLength < s.CriticalPath {
+		t.Errorf("estimated cycle length %d < critical path %d", s.CycleLength, s.CriticalPath)
 	}
 }
 

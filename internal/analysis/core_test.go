@@ -122,7 +122,7 @@ func TestCyclicCoreMatchesFullGraph(t *testing.T) {
 							g, name = Build(ul, m), fmt.Sprintf("%s/%s/u%d", b.Name, l.Name, u)
 						}
 						graphs++
-						if _, k := cyclicCore(g.Edges, len(g.Ops)); k > 0 && k < len(g.Ops) {
+						if _, k := g.cyclicCore(g.Edges, len(g.Ops)); k > 0 && k < len(g.Ops) {
 							peeled++
 						}
 						for _, ex := range []func(*ir.Op) bool{nil, ivUpdate} {
@@ -202,7 +202,7 @@ func TestCyclicCoreFixtures(t *testing.T) {
 		{"chain", chain, 3, 4, 7, 3, 3},
 		{"edgeless", edgeless, 0, 0, 0, 1, 1},
 	} {
-		core, k := cyclicCore(c.g.Edges, len(c.g.Ops))
+		core, k := c.g.cyclicCore(c.g.Edges, len(c.g.Ops))
 		if k != c.coreOps || len(core) != c.coreLen {
 			t.Errorf("%s: core of %d ops and %d edges, want %d and %d", c.name, k, len(core), c.coreOps, c.coreLen)
 		}

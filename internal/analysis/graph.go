@@ -42,7 +42,10 @@ type Edge struct {
 	Kind     EdgeKind
 }
 
-// Graph is the dependence graph of one loop body on one machine.
+// Graph is the dependence graph of one loop body on one machine. Its
+// metric methods keep their scratch in the graph, so a reused graph
+// measures without allocating; like Reset, they must not run on one graph
+// from two goroutines at once.
 type Graph struct {
 	Loop  *ir.Loop
 	Mach  *machine.Desc
@@ -60,6 +63,16 @@ type Graph struct {
 	mems            []int
 	outDeg, inDeg   []int32
 	outSlab, inSlab []Edge
+
+	// Metric scratch, so a reused graph measures without allocating: per-op
+	// ASAP issue and finish times, component heights, union-find parents,
+	// live-range deltas and chain heights (Shape, chainHeight), and the
+	// cyclic-core slab and edges and the Bellman-Ford distances of the
+	// recurrence searches.
+	asap, fin, height, delta, chain []int
+	uf, coreSlab                    []int32
+	coreEdges                       []Edge
+	dist                            []int64
 }
 
 // Build constructs the dependence graph of l for machine m.

@@ -4,134 +4,148 @@ import (
 	"metaopt/internal/ir"
 )
 
-// asapTimes returns, for every op, the earliest issue cycle under infinite
-// resources considering only same-iteration (Dist == 0) edges.
-func (g *Graph) asapTimes() []int {
-	times := make([]int, len(g.Ops))
+// Shape is the loop-body shape the feature vector and the baseline
+// heuristics read off the ASAP schedule (infinite resources, same-iteration
+// edges only). Graph.Shape computes every field in one forward pass over
+// the ops, which also runs the union-find, and one more sweep over them.
+type Shape struct {
+	// CriticalPath is the length in cycles of the longest same-iteration
+	// dependence chain, including the latency of its final operation: the
+	// paper's "estimated latency of critical path" feature.
+	CriticalPath int
+	// CycleLength is a fast schedule estimate, the larger of the critical
+	// path and the resource bound: the paper's "estimated cycle length of
+	// loop body" feature, without running the scheduler.
+	CycleLength int
+	// Components counts the weakly connected components of the data-flow
+	// graph (all data edges, any distance) over the computation ops, the
+	// ops other than the back-edge branch: the paper's parallel
+	// "computations".
+	Components int
+	// MaxDepHeight and AvgDepHeight are the largest and the mean
+	// same-iteration critical path of one computation.
+	MaxDepHeight int
+	AvgDepHeight float64
+	// LivePeak and LiveSum approximate register demand: every value lives
+	// from its definition to its last same-iteration use in the ASAP
+	// schedule, a loop-carried value to the end of the iteration; LivePeak
+	// is the most values live at once, LiveSum the live cycles summed over
+	// values.
+	LivePeak, LiveSum int
+}
+
+// Shape computes the body's shape metrics.
+func (g *Graph) Shape() Shape {
+	n := len(g.Ops)
+	asap := resize(g.asap, n)
+	fin := resize(g.fin, n)
+	height := resize(g.height, n)
+	uf := resize(g.uf, n)
+	g.asap, g.fin, g.height, g.uf = asap, fin, height, uf
+	clear(asap)
+	for i := range uf {
+		uf[i] = int32(i)
+		height[i] = -1
+	}
+	var s Shape
 	// Ops are in program order and dist-0 edges always point forward
-	// (validated by the IR), so one forward pass settles everything.
-	for to := range g.Ops {
+	// (validated by the IR), so one forward pass settles every issue time.
+	// Every edge is in one In list, so the same pass unions the data edges
+	// between computation ops.
+	for to, op := range g.Ops {
 		for _, e := range g.In[to] {
-			if e.Dist != 0 {
+			if e.Dist == 0 {
+				if t := asap[e.From] + e.Lat; t > asap[to] {
+					asap[to] = t
+				}
+			}
+			if e.Kind == EdgeData && isComputation(op) && isComputation(g.Ops[e.From]) {
+				uf[find(uf, int32(e.From))] = find(uf, int32(to))
+			}
+		}
+		fin[to] = asap[to] + g.Mach.Latency(op)
+		s.CriticalPath = max(s.CriticalPath, fin[to])
+	}
+	num, den := g.ResMII()
+	s.CycleLength = max(s.CriticalPath, (num+den-1)/den)
+
+	length := s.CriticalPath
+	var delta []int
+	if length > 0 {
+		delta = resize(g.delta, length+2)
+		g.delta = delta
+		clear(delta)
+	}
+	// Each computation's height is its members' latest finish; the heights
+	// are integers, so their sum is exact in any order.
+	sumHeight := 0
+	for i, op := range g.Ops {
+		if isComputation(op) {
+			r, h := find(uf, int32(i)), fin[i]
+			switch old := height[r]; {
+			case old < 0:
+				s.Components++
+				sumHeight += h
+				height[r] = h
+			case h > old:
+				sumHeight += h - old
+				height[r] = h
+			}
+			s.MaxDepHeight = max(s.MaxDepHeight, h)
+		}
+		if length == 0 || !op.Code.HasResult() {
+			continue
+		}
+		def, last, carried := fin[i], fin[i], false
+		for _, e := range g.Out[i] {
+			if e.Kind != EdgeData {
 				continue
 			}
-			if t := times[e.From] + e.Lat; t > times[to] {
-				times[to] = t
+			if e.Dist > 0 {
+				carried = true
+				continue
 			}
+			last = max(last, asap[e.To])
 		}
+		if carried {
+			last = length
+		}
+		def, last = min(def, length), min(last, length)
+		delta[def]++
+		delta[last+1]--
+		s.LiveSum += last - def + 1
 	}
-	return times
+	if s.Components > 0 {
+		s.AvgDepHeight = float64(sumHeight) / float64(s.Components)
+	}
+	live := 0
+	for _, d := range delta {
+		live += d
+		s.LivePeak = max(s.LivePeak, live)
+	}
+	return s
 }
 
-// CriticalPath returns the length in cycles of the longest same-iteration
-// dependence chain, including the latency of its final operation. This is
-// the paper's "estimated latency of critical path" feature.
-func (g *Graph) CriticalPath() int {
-	times := g.asapTimes()
-	best := 0
-	for i, op := range g.Ops {
-		if t := times[i] + g.Mach.Latency(op); t > best {
-			best = t
-		}
+// find returns x's union-find root, halving the path on the way.
+func find(uf []int32, x int32) int32 {
+	for uf[x] != x {
+		uf[x] = uf[uf[x]]
+		x = uf[x]
 	}
-	return best
+	return x
 }
 
-// EstimatedCycleLength is a fast schedule estimate: the maximum of the
-// critical path and every resource bound. It approximates the paper's
-// "estimated cycle length of loop body" feature without running the
-// scheduler.
-func (g *Graph) EstimatedCycleLength() int {
-	cp := g.CriticalPath()
-	num, den := g.ResMII()
-	res := (num + den - 1) / den
-	if res > cp {
-		return res
-	}
-	return cp
-}
-
-// computation membership: ops that belong to the actual computation rather
-// than loop control (the induction update, trip test and back edge).
-func (g *Graph) isComputation(op *ir.Op) bool {
-	switch op.Code {
-	case ir.OpBr:
-		return false
-	}
-	return true
-}
-
-// Components partitions the computation ops into weakly-connected
-// components of the data-flow graph (all data edges, any distance). Each
-// component is one of the paper's parallel "computations".
-func (g *Graph) Components() [][]int {
-	n := len(g.Ops)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	for _, e := range g.Edges {
-		if e.Kind != EdgeData {
-			continue
-		}
-		if !g.isComputation(g.Ops[e.From]) || !g.isComputation(g.Ops[e.To]) {
-			continue
-		}
-		union(e.From, e.To)
-	}
-	groups := map[int][]int{}
-	for i, op := range g.Ops {
-		if !g.isComputation(op) {
-			continue
-		}
-		r := find(i)
-		groups[r] = append(groups[r], i)
-	}
-	comps := make([][]int, 0, len(groups))
-	for _, c := range groups {
-		comps = append(comps, c)
-	}
-	return comps
-}
-
-// DepHeights returns the maximum and mean dependence height over the
-// computations (per-component same-iteration critical path in cycles).
-func (g *Graph) DepHeights() (max int, mean float64) {
-	comps := g.Components()
-	if len(comps) == 0 {
-		return 0, 0
-	}
-	times := g.asapTimes()
-	var sum float64
-	for _, comp := range comps {
-		h := 0
-		for _, i := range comp {
-			if t := times[i] + g.Mach.Latency(g.Ops[i]); t > h {
-				h = t
-			}
-		}
-		if h > max {
-			max = h
-		}
-		sum += float64(h)
-	}
-	return max, sum / float64(len(comps))
-}
+// isComputation reports whether op belongs to the actual computation
+// rather than loop control: everything but the back-edge branch.
+func isComputation(op *ir.Op) bool { return op.Code != ir.OpBr }
 
 // chainHeight computes the longest dist-0 chain restricted to ops accepted
 // by keep, counting one unit per op on the chain.
 func (g *Graph) chainHeight(keep func(*ir.Op) bool) int {
 	n := len(g.Ops)
-	h := make([]int, n)
+	h := resize(g.chain, n)
+	g.chain = h
+	clear(h)
 	best := 0
 	for to := 0; to < n; to++ {
 		if !keep(g.Ops[to]) {
@@ -209,65 +223,4 @@ func (g *Graph) MemDeps() (count, minDist int) {
 		}
 	}
 	return count, minDist
-}
-
-// LiveValueEstimate approximates register demand: for every value it spans
-// the cycles between its definition and its last same-iteration use in the
-// ASAP schedule, plus one iteration-long range per loop-carried value, and
-// returns the peak number of simultaneously live values.
-func (g *Graph) LiveValueEstimate() int {
-	peak, _ := g.LiveStats()
-	return peak
-}
-
-// LiveStats returns both the peak count of simultaneously-live values and
-// the total live cycles summed across values (the "live range size" family
-// of features).
-func (g *Graph) LiveStats() (peak, sum int) {
-	times := g.asapTimes()
-	length := g.CriticalPath()
-	if length == 0 {
-		return 0, 0
-	}
-	delta := make([]int, length+2)
-	for i, op := range g.Ops {
-		if !op.Code.HasResult() {
-			continue
-		}
-		def := times[i] + g.Mach.Latency(op)
-		last := def
-		carried := false
-		for _, e := range g.Out[i] {
-			if e.Kind != EdgeData {
-				continue
-			}
-			if e.Dist > 0 {
-				carried = true
-				continue
-			}
-			if t := times[e.To]; t > last {
-				last = t
-			}
-		}
-		if carried {
-			last = length
-		}
-		if def > length {
-			def = length
-		}
-		if last > length {
-			last = length
-		}
-		delta[def]++
-		delta[last+1]--
-		sum += last - def + 1
-	}
-	live := 0
-	for _, d := range delta {
-		live += d
-		if live > peak {
-			peak = live
-		}
-	}
-	return peak, sum
 }

@@ -80,11 +80,12 @@ func (g *Graph) RecurrenceRatioExcluding(exclude func(*ir.Op) bool) (num, den in
 	if !hasCarried {
 		return 0, 1
 	}
-	edges, n = cyclicCore(edges, n)
+	edges, n = g.cyclicCore(edges, n)
 	if n == 0 {
 		return 0, 1
 	}
-	dist := make([]int64, n)
+	dist := resize(g.dist, n)
+	g.dist = dist
 
 	// Binary search the smallest integer II with no positive cycle.
 	lo, hi := 0, maxII // II=lo infeasible or unknown; II=hi feasible
@@ -124,13 +125,16 @@ func (g *Graph) RecurrenceRatioExcluding(exclude func(*ir.Op) bool) (num, den in
 // the survivors densely, and returns the edges among them and their count.
 // A node on a cycle keeps the cycle's in-edge and out-edge, so every cycle
 // survives, and positiveCycle answers the same over the core as over all
-// the edges, in fewer and shorter passes.
-func cyclicCore(edges []Edge, n int) ([]Edge, int) {
+// the edges, in fewer and shorter passes. The core lives in g's scratch
+// until the next search.
+func (g *Graph) cyclicCore(edges []Edge, n int) ([]Edge, int) {
 	m := len(edges)
 	// One slab: remaining degrees, a fill cursor that becomes the worklist,
 	// id (0 while a node survives, -1 once peeled, then its core number),
 	// and CSR offsets and neighbours in both directions.
-	s := make([]int32, 6*n+2+2*m)
+	s := resize(g.coreSlab, 6*n+2+2*m)
+	g.coreSlab = s
+	clear(s)
 	indeg, outdeg, cur, id := s[:n], s[n:2*n], s[2*n:3*n], s[3*n:4*n]
 	outOff, inOff := s[4*n:5*n+1], s[5*n+1:6*n+2]
 	outAdj, inAdj := s[6*n+2:6*n+2+m], s[6*n+2+m:]
@@ -183,13 +187,14 @@ func cyclicCore(edges []Edge, n int) ([]Edge, int) {
 			id[v], k, kept = k, k+1, kept+outdeg[v]
 		}
 	}
-	core := make([]Edge, 0, kept)
+	core := resize(g.coreEdges, int(kept))[:0]
 	for _, e := range edges {
 		if id[e.From] >= 0 && id[e.To] >= 0 {
 			e.From, e.To = int(id[e.From]), int(id[e.To])
 			core = append(core, e)
 		}
 	}
+	g.coreEdges = core
 	return core, int(k)
 }
 
@@ -230,11 +235,12 @@ func positiveCycle(edges []Edge, dist []int64, a, b int) bool {
 // monotone in II (distances are non-negative), so the search is binary,
 // over the graph's cyclic core.
 func (g *Graph) MinFeasibleII(lo, hi int) int {
-	edges, n := cyclicCore(g.Edges, len(g.Ops))
+	edges, n := g.cyclicCore(g.Edges, len(g.Ops))
 	if n == 0 {
 		return lo
 	}
-	dist := make([]int64, n)
+	dist := resize(g.dist, n)
+	g.dist = dist
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		if positiveCycle(edges, dist, 1, mid) {

@@ -6,6 +6,8 @@ package features
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"metaopt/internal/analysis"
 	"metaopt/internal/ir"
@@ -111,9 +113,22 @@ func Index(name string) int {
 	return -1
 }
 
+// workspace is one extraction's scratch: the dependence graph, rebuilt in
+// place for each loop, and the predicate IDs the body uses. Workspaces are
+// pooled as sim pools its compile workspaces; nothing Extract returns
+// refers into one.
+type workspace struct {
+	graph analysis.Graph
+	preds []int
+}
+
+var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
+
 // Extract computes the feature vector of a loop for a machine.
 func Extract(l *ir.Loop, m *machine.Desc) []float64 {
-	g := analysis.Build(l, m)
+	w := workspacePool.Get().(*workspace)
+	defer w.release()
+	g := w.graph.Reset(l, m)
 	v := make([]float64, NumFeatures)
 
 	v[FNestLevel] = float64(l.NestLevel)
@@ -129,7 +144,7 @@ func Extract(l *ir.Loop, m *machine.Desc) []float64 {
 		v[FEarlyExit] = 1
 	}
 
-	preds := map[int]bool{}
+	preds := w.preds[:0]
 	for _, op := range l.Body {
 		v[FNumOperands] += float64(len(op.Args))
 		if op.Code.HasResult() {
@@ -141,7 +156,7 @@ func Extract(l *ir.Loop, m *machine.Desc) []float64 {
 			}
 		}
 		if op.PredID != 0 {
-			preds[op.PredID] = true
+			preds = append(preds, op.PredID)
 		}
 		switch op.Code {
 		case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFMA, ir.OpFDiv, ir.OpFCmp:
@@ -171,14 +186,16 @@ func Extract(l *ir.Loop, m *machine.Desc) []float64 {
 	// The folded loop overhead (induction update) counts as one implicit
 	// instruction, as ORC's would.
 	v[FNumImplicit]++
-	v[FNumPredicates] = float64(len(preds))
+	slices.Sort(preds)
+	v[FNumPredicates] = float64(len(slices.Compact(preds)))
+	w.preds = preds
 
-	v[FCriticalPath] = float64(g.CriticalPath())
-	v[FCycleLength] = float64(g.EstimatedCycleLength())
-	v[FParallelComps] = float64(len(g.Components()))
-	maxH, avgH := g.DepHeights()
-	v[FMaxDepHeight] = float64(maxH)
-	v[FAvgDepHeight] = avgH
+	sh := g.Shape()
+	v[FCriticalPath] = float64(sh.CriticalPath)
+	v[FCycleLength] = float64(sh.CycleLength)
+	v[FParallelComps] = float64(sh.Components)
+	v[FMaxDepHeight] = float64(sh.MaxDepHeight)
+	v[FAvgDepHeight] = sh.AvgDepHeight
 	v[FMemDepHeight] = float64(g.MemDepHeight())
 	v[FCtrlDepHeight] = float64(g.CtrlDepHeight())
 	nDeps, minDist := g.MemDeps()
@@ -187,9 +204,8 @@ func Extract(l *ir.Loop, m *machine.Desc) []float64 {
 	fanMax, fanMean := g.FanIn()
 	v[FMaxFanIn] = float64(fanMax)
 	v[FMeanFanIn] = fanMean
-	peak, sum := g.LiveStats()
-	v[FLivePeak] = float64(peak)
-	v[FLiveSum] = float64(sum)
+	v[FLivePeak] = float64(sh.LivePeak)
+	v[FLiveSum] = float64(sh.LiveSum)
 
 	rn, rd := g.ResMII()
 	v[FResMII] = float64(rn) / float64(rd)
@@ -198,6 +214,13 @@ func Extract(l *ir.Loop, m *machine.Desc) []float64 {
 		v[FRecMII] = float64(cn) / float64(cd)
 	}
 	return v
+}
+
+// release returns w to the pool, first dropping the graph's pointers into
+// the caller's loop.
+func (w *workspace) release() {
+	w.graph.Loop, w.graph.Ops = nil, nil
+	workspacePool.Put(w)
 }
 
 func classifyRef(mem *ir.MemRef, m *machine.Desc, v []float64) {

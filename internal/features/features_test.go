@@ -3,11 +3,17 @@ package features
 import (
 	"testing"
 
+	"metaopt/internal/ir"
 	"metaopt/internal/lang"
 	"metaopt/internal/machine"
 )
 
 func vec(t *testing.T, src string) []float64 {
+	t.Helper()
+	return Extract(lower(t, src), machine.Itanium2())
+}
+
+func lower(t *testing.T, src string) *ir.Loop {
 	t.Helper()
 	k, err := lang.ParseKernel(src)
 	if err != nil {
@@ -17,7 +23,7 @@ func vec(t *testing.T, src string) []float64 {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	return Extract(l, machine.Itanium2())
+	return l
 }
 
 func TestNamesComplete(t *testing.T) {

@@ -58,7 +58,7 @@ func SWP(l *ir.Loop, m *machine.Desc) int {
 	}
 	rolled := analysis.Build(l, m)
 	recN, recD := rolled.RecurrenceRatioExcluding(isIVUpdate)
-	_, liveSum := rolled.LiveStats()
+	sh := rolled.Shape()
 
 	// Per-source-iteration II estimate at each unroll factor. The resource
 	// bound comes from the *actual* unrolled-and-cleaned body, so the rule
@@ -78,7 +78,7 @@ func SWP(l *ir.Loop, m *machine.Desc) int {
 			}
 		}
 		s := float64(ii) / float64(u)
-		est := liveSum * u / maxInt(1, rolled.CriticalPath())
+		est := sh.LiveSum * u / maxInt(1, sh.CriticalPath)
 		if est > m.RotatingRegs && m.RotatingRegs > 0 {
 			s += float64(est-m.RotatingRegs) * 0.05
 		}
@@ -96,7 +96,7 @@ func SWP(l *ir.Loop, m *machine.Desc) int {
 			trip = 100 // conservative assumption for unknown bounds
 		}
 		fixed := float64(4*ii) + float64(m.CodeBytes(len(body.Body)))/64*float64(m.L1IMissCycles)/2
-		fixed += float64(rem * rolled.EstimatedCycleLength())
+		fixed += float64(rem * sh.CycleLength)
 		s += fixed / float64(trip)
 		return s
 	}

@@ -1,7 +1,9 @@
 package lang
 
 import (
+	"encoding/binary"
 	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -172,19 +174,69 @@ var punct = [256]Kind{
 // Tokenize lexes the whole input, returning all tokens up to and including
 // the EOF token.
 func Tokenize(src string) ([]Token, error) {
-	return NewLexer(src).appendAll(nil)
+	toks, err := NewLexer(src).appendAll(nil)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
 }
 
-// appendAll lexes the rest of the input onto toks, returning nil on error.
+// appendAll lexes the rest of the input onto toks. On an error it returns
+// toks as far as it got, with the error.
 func (lx *Lexer) appendAll(toks []Token) ([]Token, error) {
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return nil, err
+			return toks, err
 		}
 		toks = append(toks, t)
 		if t.Kind == TokEOF {
 			return toks, nil
 		}
 	}
+}
+
+// Tokens is one lexed source, every token through EOF, in a pooled buffer.
+// A caller can key the source by its tokens (AppendKey) and then parse
+// them (Kernel) without lexing again. Release returns the buffer;
+// no AST node holds a Token (nodes keep Text substrings of the source and
+// Pos values), so what the parse returned stays valid after it.
+type Tokens struct {
+	toks []Token
+}
+
+var tokPool = sync.Pool{New: func() any { return new(Tokens) }}
+
+// Lex lexes src into a pooled token buffer.
+func Lex(src string) (*Tokens, error) {
+	t := tokPool.Get().(*Tokens)
+	toks, err := NewLexer(src).appendAll(t.toks[:0])
+	t.toks = toks
+	if err != nil {
+		t.Release()
+		return nil, err
+	}
+	return t, nil
+}
+
+// Release clears the buffer, so that it pins no source, and returns it to
+// the pool. t must not be used afterwards.
+func (t *Tokens) Release() {
+	clear(t.toks)
+	t.toks = t.toks[:0]
+	tokPool.Put(t)
+}
+
+// AppendKey appends the token stream to b: each token's kind and its
+// length-prefixed text, without positions. Two sources append the same
+// bytes exactly when they lex to the same tokens, and then they parse to
+// the same AST and lower to the same IR: whitespace and comments move
+// only positions, and positions reach only error texts.
+func (t *Tokens) AppendKey(b []byte) []byte {
+	for _, tk := range t.toks {
+		b = binary.AppendUvarint(b, uint64(tk.Kind))
+		b = binary.AppendUvarint(b, uint64(len(tk.Text)))
+		b = append(b, tk.Text...)
+	}
+	return b
 }

@@ -2,7 +2,6 @@ package lang
 
 import (
 	"strconv"
-	"sync"
 )
 
 // Parser is a recursive-descent parser for LoopLang.
@@ -11,24 +10,29 @@ type Parser struct {
 	pos  int
 }
 
-// tokPool recycles Parse's token buffers. No AST node holds a Token (nodes
-// keep Text substrings of the source and Pos values), so a buffer is free
-// once Parse returns; it is cleared first so it does not pin the source.
-var tokPool = sync.Pool{New: func() any { return new([]Token) }}
-
 // Parse parses a whole source file.
 func Parse(src string) (*File, error) {
-	bp := tokPool.Get().(*[]Token)
-	toks, err := NewLexer(src).appendAll((*bp)[:0])
-	defer func() {
-		clear(toks)
-		*bp = toks[:0]
-		tokPool.Put(bp)
-	}()
+	t, err := Lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks}
+	defer t.Release()
+	return t.file()
+}
+
+// ParseKernel parses a source file expected to contain exactly one kernel.
+func ParseKernel(src string) (*Kernel, error) {
+	t, err := Lex(src)
+	if err != nil {
+		return nil, err
+	}
+	defer t.Release()
+	return t.Kernel()
+}
+
+// file parses the tokens as a whole source file.
+func (t *Tokens) file() (*File, error) {
+	p := &Parser{toks: t.toks}
 	f := &File{}
 	for p.cur().Kind != TokEOF {
 		k, err := p.parseKernel()
@@ -43,9 +47,10 @@ func Parse(src string) (*File, error) {
 	return f, nil
 }
 
-// ParseKernel parses a source file expected to contain exactly one kernel.
-func ParseKernel(src string) (*Kernel, error) {
-	f, err := Parse(src)
+// Kernel parses the tokens as a source file expected to contain exactly
+// one kernel.
+func (t *Tokens) Kernel() (*Kernel, error) {
+	f, err := t.file()
 	if err != nil {
 		return nil, err
 	}

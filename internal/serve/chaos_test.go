@@ -163,7 +163,7 @@ func TestChaosNonFiniteFeaturesRejected(t *testing.T) {
 	} {
 		// JSON cannot carry NaN/Inf, so exercise the boundary the way an
 		// embedded Handler user would: through newItem directly.
-		it, status, err := newItem(s.reg.Default(), client.PredictRequest{Features: bad})
+		it, status, err := s.newItem(s.reg.Default(), client.PredictRequest{Features: bad})
 		if err == nil || status != http.StatusBadRequest {
 			t.Fatalf("non-finite vector passed validation: it=%v status=%d err=%v", it, status, err)
 		}

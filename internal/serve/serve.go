@@ -12,8 +12,9 @@
 //   - queued requests are micro-batched through the compiled predictor's
 //     float32 batch path, so a worker drains several waiting requests per
 //     model dispatch;
-//   - an LRU cache keyed by the canonicalized loop hash (which embeds the
-//     model fingerprint) short-circuits repeated queries;
+//   - an LRU cache keyed by a hash of the model fingerprint and the
+//     source's token stream short-circuits repeated queries before the
+//     frontend runs: a hit is lexed and hashed, never parsed;
 //   - POST /v1/admin/reload swaps the model atomically with zero dropped
 //     requests — in-flight batches finish on the snapshot they started
 //     with;
@@ -29,7 +30,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"metaopt/internal/faults"
+	"metaopt/internal/lang"
 	"metaopt/internal/obs"
 	"metaopt/internal/registry"
 	"metaopt/unroll"
@@ -214,14 +215,17 @@ func snapInfo(snap registry.Snapshot) client.ModelInfo {
 	return mi
 }
 
-// item is one loop awaiting prediction.
+// item is one request entry: a loop or feature vector awaiting
+// prediction, or an answer the cache already gave.
 type item struct {
 	loop  *unroll.Loop
 	feats []float64
-	key   string // cache key; "" = uncacheable
-	reqID string // request ID, for panic-isolation log lines
+	name  string   // the loop's name for the response; "" for a vector
+	key   [32]byte // cache key; unset while the cache is disabled
+	reqID string   // request ID, for panic-isolation log lines
 
 	factor int
+	cached bool // answered from the cache; nothing to predict
 	err    error
 }
 
@@ -768,9 +772,7 @@ func (s *Server) runBatch(ar *batchArena) {
 			if it.err == nil {
 				mItems.Inc()
 				s.recordSuccess()
-				if it.key != "" {
-					s.cache.put(it.key, it.factor)
-				}
+				s.cache.put(it.key, it.factor, it.name)
 				s.maybeShadow(j.st, it)
 			}
 		}
@@ -788,12 +790,12 @@ var keyBytesPool = sync.Pool{
 	},
 }
 
-// cacheKey canonicalizes a query for the LRU: the hex sha256 of the model
+// cacheKey canonicalizes a query for the LRU: the sha256 of the model
 // fingerprint, the kind and the payload fill appends, NUL-separated. The
-// payload is either the parsed loop's IR rendering (so formatting
-// differences in the source don't split cache lines) or the raw feature
-// vector.
-func cacheKey(fingerprint, kind string, fill func([]byte) []byte) string {
+// payload is either a source's token stream (lang.Tokens.AppendKey: equal
+// streams lower to equal loops, and whitespace and comments do not split
+// cache lines) or the raw feature vector.
+func cacheKey(fingerprint, kind string, fill func([]byte) []byte) [32]byte {
 	bp := keyBytesPool.Get().(*[]byte)
 	b := append((*bp)[:0], fingerprint...)
 	b = append(b, 0)
@@ -801,15 +803,13 @@ func cacheKey(fingerprint, kind string, fill func([]byte) []byte) string {
 	b = append(b, 0)
 	b = fill(b)
 	sum := sha256.Sum256(b)
-	b = hex.AppendEncode(b[:0], sum[:])
-	key := string(b)
 	*bp = b
 	keyBytesPool.Put(bp)
-	return key
+	return sum
 }
 
 // featureKey hashes a feature vector into its cache key.
-func featureKey(fingerprint string, v []float64) string {
+func featureKey(fingerprint string, v []float64) [32]byte {
 	return cacheKey(fingerprint, "feat", func(b []byte) []byte {
 		for _, f := range v {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
@@ -818,9 +818,12 @@ func featureKey(fingerprint string, v []float64) string {
 	})
 }
 
-// newItem validates one request entry and prepares it for the queue.
-// The returned status is the HTTP code to answer when err != nil.
-func newItem(st *registry.Model, req client.PredictRequest) (it *item, status int, err error) {
+// newItem validates one request entry and answers it from the cache when
+// it can; an item with cached set needs no prediction. A source is lexed
+// once and keyed by its tokens, so a hit is never parsed: only a miss
+// parses those tokens and lowers them. With the cache disabled no key is
+// built. The returned status is the HTTP code to answer when err != nil.
+func (s *Server) newItem(st *registry.Model, req client.PredictRequest) (it *item, status int, err error) {
 	switch {
 	case req.Source == "" && req.Features == nil:
 		return nil, http.StatusBadRequest, errors.New("one of source or features is required")
@@ -834,19 +837,50 @@ func newItem(st *registry.Model, req client.PredictRequest) (it *item, status in
 					fmt.Errorf("feature %d is not finite (%v); NaN and ±Inf are rejected before they reach distance computations", i, v)
 			}
 		}
-		return &item{
-			feats: req.Features,
-			key:   featureKey(st.Fingerprint(), req.Features),
-		}, 0, nil
+		it = &item{feats: req.Features}
+		if s.cache.enabled() {
+			it.key = featureKey(st.Fingerprint(), req.Features)
+			if s.lookup(it) {
+				return it, 0, nil
+			}
+		}
+		mCacheMiss.Inc()
+		return it, 0, nil
 	}
-	loop, err := unroll.ParseKernel(req.Source)
+	toks, err := lang.Lex(req.Source)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	return &item{
-		loop: loop,
-		key:  cacheKey(st.Fingerprint(), "loop", loop.AppendText),
-	}, 0, nil
+	it = &item{}
+	if s.cache.enabled() {
+		it.key = cacheKey(st.Fingerprint(), "loop", toks.AppendKey)
+		if s.lookup(it) {
+			toks.Release()
+			return it, 0, nil
+		}
+	}
+	k, err := toks.Kernel()
+	toks.Release()
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	loop, err := lang.Lower(k)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	mCacheMiss.Inc()
+	it.loop, it.name = loop, loop.Name
+	return it, 0, nil
+}
+
+// lookup answers it from the cache on a hit.
+func (s *Server) lookup(it *item) bool {
+	factor, name, ok := s.cache.get(it.key)
+	if ok {
+		mCacheHits.Inc()
+		it.factor, it.name, it.cached = factor, name, true
+	}
+	return ok
 }
 
 // tenantStats is one tenant label's accounting: request/error counters and
@@ -992,23 +1026,20 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, v2 bool) {
 	if ten = s.tenant(req.Tenant); ten != nil {
 		ten.reqs.Inc()
 	}
-	it, status, err := newItem(st, req.PredictRequest)
+	tr.BeginStage(obs.StageCacheLookup)
+	it, status, err := s.newItem(st, req.PredictRequest)
+	tr.EndStage(obs.StageCacheLookup)
 	if err != nil {
 		writeError(w, status, err.Error())
 		return
 	}
-	it.reqID = reqID
-	tr.BeginStage(obs.StageCacheLookup)
-	factor, hit := s.cache.get(it.key)
-	tr.EndStage(obs.StageCacheLookup)
-	if hit {
-		mCacheHits.Inc()
+	if it.cached {
 		tr.BeginStage(obs.StageEncode)
-		writeJSON(w, http.StatusOK, predictResponse(st, it, factor, true))
+		writeJSON(w, http.StatusOK, predictResponse(st, it))
 		tr.EndStage(obs.StageEncode)
 		return
 	}
-	mCacheMiss.Inc()
+	it.reqID = reqID
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
@@ -1040,7 +1071,7 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, v2 bool) {
 		return
 	}
 	tr.BeginStage(obs.StageEncode)
-	writeJSON(w, http.StatusOK, predictResponse(j.st, it, it.factor, false))
+	writeJSON(w, http.StatusOK, predictResponse(j.st, it))
 	tr.EndStage(obs.StageEncode)
 }
 
@@ -1146,18 +1177,16 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, v2 bool) {
 	items := bb.items // nil where already resolved
 	tr.BeginStage(obs.StageCacheLookup)
 	for i, lr := range req.Loops {
-		it, _, err := newItem(st, lr)
+		it, _, err := s.newItem(st, lr)
 		if err != nil {
 			results[i] = client.BatchResult{Error: err.Error()}
 			continue
 		}
-		it.reqID = reqID
-		if factor, ok := s.cache.get(it.key); ok {
-			mCacheHits.Inc()
-			results[i] = batchResult(it, factor, true, nil, reqID)
+		if it.cached {
+			results[i] = batchResult(it, reqID)
 			continue
 		}
-		mCacheMiss.Inc()
+		it.reqID = reqID
 		items[i] = it
 		bb.pending = append(bb.pending, it)
 	}
@@ -1188,7 +1217,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, v2 bool) {
 		}
 		for i, it := range items {
 			if it != nil {
-				results[i] = batchResult(it, it.factor, false, it.err, reqID)
+				results[i] = batchResult(it, reqID)
 			}
 		}
 	}
@@ -1328,31 +1357,21 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, readyzDetail{Status: "ok", SLO: s.slo.Status()})
 }
 
-func predictResponse(st *registry.Model, it *item, factor int, cached bool) client.PredictResponse {
-	resp := client.PredictResponse{
-		Factor:       factor,
-		Cached:       cached,
+func predictResponse(st *registry.Model, it *item) client.PredictResponse {
+	return client.PredictResponse{
+		Factor:       it.factor,
+		Cached:       it.cached,
 		ModelVersion: st.Pred.Version(),
 		Fingerprint:  st.Fingerprint(),
+		Loop:         it.name,
 	}
-	if it.loop != nil {
-		resp.Loop = it.loop.Name
-	}
-	return resp
 }
 
-func batchResult(it *item, factor int, cached bool, err error, reqID string) client.BatchResult {
-	res := client.BatchResult{Factor: factor, Cached: cached}
-	if it.loop != nil {
-		res.Loop = it.loop.Name
+func batchResult(it *item, reqID string) client.BatchResult {
+	if it.err != nil {
+		return client.BatchResult{Error: publicError(it.err, reqID), Loop: it.name}
 	}
-	if err != nil {
-		res = client.BatchResult{Error: publicError(err, reqID)}
-		if it.loop != nil {
-			res.Loop = it.loop.Name
-		}
-	}
-	return res
+	return client.BatchResult{Factor: it.factor, Cached: it.cached, Loop: it.name}
 }
 
 // publicError renders a prediction error for the wire. A contained panic

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"metaopt/internal/lang"
 	"metaopt/internal/loopgen"
 	"metaopt/unroll"
 	"metaopt/unroll/client"
@@ -622,7 +623,8 @@ func TestServeCacheKeySeesNoAlias(t *testing.T) {
 }
 
 // TestCacheKeyPrintImpliesFeatures checks the premise of the source cache
-// key over the held-out corpus the serve benchmark replays: loops that
+// key over the held-out corpus the serve benchmark replays: sources that
+// lex to the same tokens lower to loops that print alike, and loops that
 // print alike extract equal feature vectors, so a cache hit can only
 // return the factor the loop itself would get.
 func TestCacheKeyPrintImpliesFeatures(t *testing.T) {
@@ -632,12 +634,23 @@ func TestCacheKeyPrintImpliesFeatures(t *testing.T) {
 	}
 	m := unroll.Itanium2()
 	byPrint := map[string][]float64{}
+	byTokens := map[string]string{}
 	n, shared := 0, 0
 	for _, b := range held.Benchmarks {
 		for _, src := range b.Sources {
 			l := parseKernel(t, src)
 			v := unroll.Features(l, m)
 			key := l.String()
+			toks, err := lang.Lex(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk := string(toks.AppendKey(nil))
+			toks.Release()
+			if prev, ok := byTokens[tk]; ok && prev != key {
+				t.Fatalf("%s lexes like an earlier source but prints differently:\n%s\n%s", l.Name, prev, key)
+			}
+			byTokens[tk] = key
 			n++
 			if prev, ok := byPrint[key]; ok {
 				shared++
@@ -649,5 +662,124 @@ func TestCacheKeyPrintImpliesFeatures(t *testing.T) {
 			byPrint[key] = v
 		}
 	}
-	t.Logf("%d loops, %d distinct prints, %d sharing a print", n, len(byPrint), shared)
+	t.Logf("%d loops, %d distinct token streams, %d distinct prints, %d sharing a print", n, len(byTokens), len(byPrint), shared)
+}
+
+// TestServeTokenKeyedCache: the cache is keyed by the source's tokens. A
+// variant that differs only in comments and layout hits, on both routes,
+// and the hit answers with the loop's name; a one-token edit misses and
+// gets its own factor.
+func TestServeTokenKeyedCache(t *testing.T) {
+	pred := trainPredictor(t, unroll.NearNeighbor)
+	_, c := newTestServer(t, Config{Model: pred, RequestTimeout: 30 * time.Second})
+	ctx := context.Background()
+	const src = `kernel daxpy lang=c { param double a; double x[], y[]; noalias; for i = 0 .. 4096 { y[i] = y[i] + a * x[i]; } }`
+	const commented = "/* the same loop */ kernel daxpy lang=c {\n\tparam double a; // scale\n\tdouble x[], y[];\n\tnoalias;\n\tfor i = 0 .. 4096 {\n\t\ty[i] = y[i] + a * x[i]; /* fused */\n\t}\n}\n"
+	const edited = `kernel daxpy lang=c { param double a; double x[], y[]; noalias; for i = 0 .. 4095 { y[i] = y[i] + a * x[i]; } }`
+
+	first, err := c.Predict(ctx, client.PredictRequest{Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cached || first.Loop != "daxpy" {
+		t.Errorf("first query: %+v", first)
+	}
+	hit, err := c.Predict(ctx, client.PredictRequest{Source: commented})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached || hit.Factor != first.Factor || hit.Loop != "daxpy" {
+		t.Errorf("comment variant: %+v, want a cache hit on %+v with the loop name", hit, first)
+	}
+	batch, err := c.PredictBatch(ctx, []client.PredictRequest{{Source: commented}, {Source: src}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range batch.Results {
+		if !r.Cached || r.Factor != first.Factor || r.Loop != "daxpy" || r.Error != "" {
+			t.Errorf("batch item %d: %+v, want a cache hit with the loop name", i, r)
+		}
+	}
+
+	want, err := pred.PredictCtx(ctx, parseKernel(t, edited))
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss, err := c.Predict(ctx, client.PredictRequest{Source: edited})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if miss.Cached || miss.Factor != want || miss.Loop != "daxpy" {
+		t.Errorf("one-token edit: %+v, want an uncached factor %d", miss, want)
+	}
+}
+
+// TestServeFrontendErrorsUncached: a source that does not lex, one that
+// lexes but does not parse and one that parses but does not lower answer
+// the frontend's error text, with the request's own positions, on the
+// first and on a repeated request and on both routes; none counts as a
+// cache hit.
+func TestServeFrontendErrorsUncached(t *testing.T) {
+	pred := trainPredictor(t, unroll.NearNeighbor)
+	_, c := newTestServer(t, Config{Model: pred, RequestTimeout: 30 * time.Second})
+	ctx := context.Background()
+	cases := []struct{ src, want string }{
+		{`kernel k lang=c { double a[]; for i = 0 .. 64 { a[i] = a[i] $ 1.0; } }`, `1:61: unexpected character "$"`},
+		{`kernel k lang=c { double a[]; for i = 0 .. 64 { a[i] = ; } }`, `1:56: unexpected ; in expression`},
+		{"kernel k lang=c {\n  double a[];\n  for i = 0 .. 64 { a[i] = ; }\n}", `3:28: unexpected ; in expression`},
+		{`kernel k lang=c { double a[]; for i = 0 .. 64 { b[i] = a[i]; } }`, `1:49: store to undeclared array "b"`},
+	}
+	hits := mCacheHits.Value()
+	for rep := 0; rep < 2; rep++ {
+		for _, tc := range cases {
+			_, err := c.Predict(ctx, client.PredictRequest{Source: tc.src})
+			ae, ok := err.(*client.APIError)
+			if !ok || ae.Status != http.StatusBadRequest || ae.Message != tc.want {
+				t.Errorf("request %d of %q: %v, want 400 %q", rep+1, tc.src, err, tc.want)
+			}
+			resp, err := c.PredictBatch(ctx, []client.PredictRequest{{Source: tc.src}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := resp.Results[0]; r.Error != tc.want || r.Cached {
+				t.Errorf("batch request %d of %q: %+v, want error %q", rep+1, tc.src, r, tc.want)
+			}
+		}
+	}
+	if got := mCacheHits.Value(); got != hits {
+		t.Errorf("serve.cache.hits moved by %d on sources that do not lower", got-hits)
+	}
+}
+
+// TestServeCacheDisabledMisses: with CacheSize -1 every request misses,
+// repeats included, and is predicted afresh.
+func TestServeCacheDisabledMisses(t *testing.T) {
+	pred := trainPredictor(t, unroll.NearNeighbor)
+	_, c := newTestServer(t, Config{Model: pred, CacheSize: -1, RequestTimeout: 30 * time.Second})
+	ctx := context.Background()
+	hits, misses := mCacheHits.Value(), mCacheMiss.Value()
+	for rep := 0; rep < 2; rep++ {
+		resp, err := c.Predict(ctx, client.PredictRequest{Source: testKernels[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached || resp.Loop != "daxpy" {
+			t.Errorf("request %d: %+v, want an uncached answer", rep+1, resp)
+		}
+		batch, err := c.PredictBatch(ctx, []client.PredictRequest{{Source: testKernels[1]}, {Features: unroll.Features(parseKernel(t, testKernels[2]), unroll.Itanium2())}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range batch.Results {
+			if r.Cached || r.Error != "" {
+				t.Errorf("request %d batch item %d: %+v, want an uncached answer", rep+1, i, r)
+			}
+		}
+	}
+	if got := mCacheHits.Value() - hits; got != 0 {
+		t.Errorf("serve.cache.hits moved by %d with the cache disabled", got)
+	}
+	if got := mCacheMiss.Value() - misses; got != 6 {
+		t.Errorf("serve.cache.misses moved by %d, want 6", got)
+	}
 }
