@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"metaopt/internal/atomicio"
+	"metaopt/internal/faults"
 	"metaopt/internal/serve"
 	"metaopt/unroll"
 )
@@ -152,6 +154,33 @@ func TestTrainPredictModelRoundTrip(t *testing.T) {
 	err = cmdPredict([]string{"-model", futurePath, loopFile})
 	if err == nil || !strings.Contains(err.Error(), "v99") {
 		t.Errorf("future artifact: %v", err)
+	}
+}
+
+// A train run torn mid-write over an existing artifact fails and leaves
+// the previous artifact loadable: the write is atomic.
+func TestTrainTornWriteKeepsOldArtifact(t *testing.T) {
+	defer faults.Reset()
+	data := testDatasetFile(t)
+	model := filepath.Join(t.TempDir(), "model.json")
+	if err := cmdTrain([]string{"-data", data, "-alg", "nn", "-select=false", "-o", model}); err != nil {
+		t.Fatalf("train: %v", err)
+	}
+	old, err := unroll.LoadPredictorFile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.MustInstall(faults.Spec{Site: atomicio.WriteSite, Kind: faults.KindTorn, Bytes: 64, Count: 1})
+	if err := cmdTrain([]string{"-data", data, "-alg", "tree", "-select=false", "-o", model}); err == nil {
+		t.Fatal("train over a torn write reported success")
+	}
+	faults.Reset()
+	p, err := unroll.LoadPredictorFile(model)
+	if err != nil {
+		t.Fatalf("previous artifact no longer loads: %v", err)
+	}
+	if p.Fingerprint() != old.Fingerprint() {
+		t.Errorf("artifact fingerprint %.12s, want the previous %.12s", p.Fingerprint(), old.Fingerprint())
 	}
 }
 

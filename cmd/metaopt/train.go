@@ -63,15 +63,9 @@ func cmdTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	if err := p.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	// SaveFile writes atomically and reads the artifact back, so a killed
+	// run leaves the previous artifact, never a torn one.
+	if err := p.SaveFile(*out); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "trained %s predictor on %d examples -> %s (format v%d, fingerprint %.12s…)\n",

@@ -301,9 +301,10 @@ func (l *Loop) CloneInto(dst *Loop) *Loop {
 	return dst
 }
 
-// String renders the loop. serve keys its prediction cache on the
-// rendering, so every header property the feature extractor reads, such
-// as noalias, must appear in it.
+// String renders the loop, with every header property the feature
+// extractor reads, such as noalias. Loops that print alike extract equal
+// features; serve's cache, keyed on a source's token stream, relies on
+// that through the frontend (see TestCacheKeyPrintImpliesFeatures).
 func (l *Loop) String() string { return string(l.AppendText(nil)) }
 
 // AppendText appends the rendering String returns to b and returns the

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"metaopt/internal/ir"
@@ -110,7 +111,16 @@ func (lw *lowerer) applyAttrs() error {
 	l := lw.loop
 	k := lw.kernel
 	l.NoAlias = k.NoAlias
-	for key, val := range k.Attrs {
+	// Check attributes in sorted order, the order the printer writes them,
+	// so a kernel with several bad ones always gets the same error.
+	var buf [4]string
+	keys := buf[:0]
+	for key := range k.Attrs {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		val := k.Attrs[key]
 		switch key {
 		case "lang":
 			switch val {

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"strings"
 	"testing"
 
 	"metaopt/internal/ir"
@@ -355,6 +356,33 @@ func TestLowerErrors(t *testing.T) {
 		}
 		if _, err := Lower(k); err == nil {
 			t.Errorf("%s: expected lowering error", c.name)
+		}
+	}
+}
+
+// TestLowerAttrErrorStable: a kernel with several bad attributes gets the
+// same error on every call, from the first bad attribute in sorted order,
+// not from whichever one a map range happens to meet first.
+func TestLowerAttrErrorStable(t *testing.T) {
+	const src = "kernel k lang=zz nest=0 entries=0 { double a[]; for i = 0 .. 4 { a[i]=0; } }"
+	errs := map[string]int{}
+	for i := 0; i < 100; i++ {
+		k, err := ParseKernel(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Lower(k); err == nil {
+			t.Fatal("kernel with bad attributes lowered")
+		} else {
+			errs[err.Error()]++
+		}
+	}
+	if len(errs) != 1 {
+		t.Fatalf("100 lowerings gave %d different errors: %v", len(errs), errs)
+	}
+	for e := range errs {
+		if !strings.Contains(e, `bad entries "0"`) {
+			t.Errorf("error %q, want the entries attribute's (first in sorted order)", e)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -71,8 +72,6 @@ type Config struct {
 	// (paths, aliases, pins, default) through atomicio on every mutation,
 	// and Restore reloads it at boot.
 	StatePath string
-	// Now is the clock, injectable for tests. Default time.Now.
-	Now func() time.Time
 }
 
 type entry struct {
@@ -106,9 +105,6 @@ func New(cfg Config) *Registry {
 	if cfg.MaxModels <= 0 {
 		cfg.MaxModels = 8
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	return &Registry{
 		cfg:     cfg,
 		entries: make(map[string]*entry),
@@ -116,22 +112,55 @@ func New(cfg Config) *Registry {
 	}
 }
 
-// Insert adds an already-loaded predictor as a resident version, compiling
-// it for serving; a predictor that fails to compile is refused like any
-// other bad artifact. Re-inserting a resident fingerprint refreshes its
-// alias and pin rather than duplicating it. The first version ever
-// inserted becomes the default.
+// LoadModel reads and compiles the artifact at path without making it
+// resident; Load inserts the model it returns.
+func LoadModel(path string) (*Model, error) {
+	pred, err := unroll.LoadPredictorFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return newModel(pred, path)
+}
+
+// newModel compiles pred for serving; a predictor that fails to compile is
+// refused like any other bad artifact.
+func newModel(pred *unroll.Predictor, path string) (*Model, error) {
+	comp, err := unroll.Compile(pred)
+	if err != nil {
+		return nil, fmt.Errorf("registry: compile %s: %w", short(pred.Fingerprint()), err)
+	}
+	return &Model{Pred: pred, Comp: comp, Path: path, LoadedAt: time.Now()}, nil
+}
+
+// Load loads the artifact at path (see LoadModel) and inserts it.
+func (r *Registry) Load(path, alias string, pin bool) (*Model, error) {
+	m, err := LoadModel(path)
+	if err != nil {
+		return nil, err
+	}
+	return r.insert(m, alias, pin), nil
+}
+
+// Insert compiles an already-loaded predictor and adds it as a resident
+// version. Re-inserting a resident fingerprint refreshes its alias and pin
+// rather than duplicating it. The first version ever inserted becomes the
+// default.
 func (r *Registry) Insert(pred *unroll.Predictor, path, alias string, pin bool) (*Model, error) {
-	fp := pred.Fingerprint()
+	m, err := newModel(pred, path)
+	if err != nil {
+		return nil, err
+	}
+	return r.insert(m, alias, pin), nil
+}
+
+// insert makes m resident; see Insert.
+func (r *Registry) insert(m *Model, alias string, pin bool) *Model {
+	fp := m.Fingerprint()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.entries[fp]
 	if !ok {
-		comp, err := unroll.Compile(pred)
-		if err != nil {
-			return nil, fmt.Errorf("registry: insert %s: %w", short(fp), err)
-		}
-		e = &entry{model: &Model{Pred: pred, Comp: comp, Path: path, LoadedAt: r.cfg.Now()}}
+		e = &entry{model: m}
 		r.entries[fp] = e
 		mLoads.Inc()
 	}
@@ -146,16 +175,7 @@ func (r *Registry) Insert(pred *unroll.Predictor, path, alias string, pin bool) 
 	r.evictOverflowLocked(fp)
 	mResident.Set(int64(len(r.entries)))
 	r.saveLocked()
-	return e.model, nil
-}
-
-// Load reads the artifact at path and inserts it (see Insert).
-func (r *Registry) Load(path, alias string, pin bool) (*Model, error) {
-	pred, err := unroll.LoadPredictorFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return r.Insert(pred, path, alias, pin)
+	return e.model
 }
 
 // Default returns the promoted version — one atomic load, no lock — or nil
@@ -218,13 +238,6 @@ func (r *Registry) Evict(ref string) (*Model, error) {
 	return e.model, nil
 }
 
-// Len reports the number of resident versions.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.entries)
-}
-
 // List snapshots every resident version: default first, then by
 // fingerprint for a stable order.
 func (r *Registry) List() []Snapshot {
@@ -279,17 +292,13 @@ func (r *Registry) bindAliasLocked(alias, fp string) {
 	if old, ok := r.aliases[alias]; ok && old != fp {
 		// Rebinding moves the name (that is how "canary" rolls forward).
 		if oe := r.entries[old]; oe != nil {
-			oe.aliases = without(oe.aliases, alias)
+			oe.aliases = slices.DeleteFunc(oe.aliases, func(a string) bool { return a == alias })
 		}
 	}
 	r.aliases[alias] = fp
-	e := r.entries[fp]
-	for _, a := range e.aliases {
-		if a == alias {
-			return
-		}
+	if e := r.entries[fp]; !slices.Contains(e.aliases, alias) {
+		e.aliases = append(e.aliases, alias)
 	}
-	e.aliases = append(e.aliases, alias)
 }
 
 func (r *Registry) touchLocked(e *entry) {
@@ -338,16 +347,6 @@ func short(fp string) string {
 		return fp[:12]
 	}
 	return fp
-}
-
-func without(ss []string, drop string) []string {
-	out := ss[:0]
-	for _, s := range ss {
-		if s != drop {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // manifest is the persisted registry state: enough to rebuild residency

@@ -99,8 +99,8 @@ func TestInsertResolvePromoteEvict(t *testing.T) {
 	if _, err := r.Resolve("stable"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("evicted version (and its alias) must be gone")
 	}
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", r.Len())
+	if len(r.List()) != 1 {
+		t.Fatalf("Len = %d, want 1", len(r.List()))
 	}
 }
 
@@ -110,9 +110,9 @@ func TestLRUBoundPrefersUnpinned(t *testing.T) {
 	m0, _ := r.Insert(ps[0], "", "", false) // default: never LRU-evicted
 	m1, _ := r.Insert(ps[1], "", "", true)  // pinned: never LRU-evicted
 	m2, _ := r.Insert(ps[2], "", "", false) // unpinned: the only candidate
-	if r.Len() != 3 {
+	if len(r.List()) != 3 {
 		// Nothing evictable yet: default + pinned + the newcomer overflow.
-		t.Fatalf("Len = %d, want 3 (protected overflow)", r.Len())
+		t.Fatalf("Len = %d, want 3 (protected overflow)", len(r.List()))
 	}
 	if _, err := r.Insert(ps[3], "", "", false); err != nil {
 		t.Fatal(err)

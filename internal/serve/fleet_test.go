@@ -59,14 +59,17 @@ func TestServeFleetFailover(t *testing.T) {
 		}
 	})
 
+	hc := &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
 	c, err := client.NewClient(client.Config{
-		Endpoints: urls,
-		Retry:     &client.RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond, Seed: 11},
-		Breaker:   &client.BreakerPolicy{Threshold: 3, Cooldown: 2 * time.Second},
+		Endpoints:  urls,
+		HTTPClient: hc,
+		Retry:      &client.RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond, Seed: 11},
+		Breaker:    &client.BreakerPolicy{Threshold: 3, Cooldown: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(hc.CloseIdleConnections) // runs before the shutdowns (see newTestServer)
 
 	var before [3]int64
 	for i := range before {
@@ -107,6 +110,9 @@ func TestServeFleetFailover(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	// The killed replica's Shutdown waits for any connection the client
+	// dialed to it but never used; closing idle connections ends that.
+	hc.CloseIdleConnections()
 	select {
 	case <-killDone:
 	case <-time.After(15 * time.Second):

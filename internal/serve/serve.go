@@ -38,6 +38,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -216,7 +217,8 @@ func snapInfo(snap registry.Snapshot) client.ModelInfo {
 }
 
 // item is one request entry: a loop or feature vector awaiting
-// prediction, or an answer the cache already gave.
+// prediction, an answer the cache already gave, or an entry refused
+// before admission.
 type item struct {
 	loop  *unroll.Loop
 	feats []float64
@@ -227,6 +229,7 @@ type item struct {
 	factor int
 	cached bool // answered from the cache; nothing to predict
 	err    error
+	status int // HTTP status of a refused entry; 0 once admitted
 }
 
 // job is one admitted request: a slot in the admission queue carrying one
@@ -486,81 +489,25 @@ func (s *Server) enqueue(j *job) bool {
 	}
 }
 
-// batchArena is one worker's reusable dispatch storage. Every micro-batch
-// runs entirely within the worker's goroutine and every handler it touches
-// is released before the next iteration, so the gathered-job list and the
-// per-model groups can all be recycled without synchronization.
-type batchArena struct {
-	jobs   []*job
-	groups []modelGroup
-}
-
-// modelGroup collects one model version's share of a merged dispatch: jobs
-// that resolved to the same version, their un-cached loops, and the factor
-// output. A gather that spans versions (v2 pins mid-stream, a promotion
-// between admissions) dispatches once per version instead of forcing the
-// whole batch onto one snapshot.
+// modelGroup collects one model version's share of a merged dispatch: the
+// jobs that resolved to that version and their loops awaiting prediction.
+// A gather that spans versions (v2 pins mid-stream, a promotion between
+// admissions) dispatches once per version instead of forcing the whole
+// batch onto one snapshot.
 type modelGroup struct {
-	st        *registry.Model
-	jobs      []*job
-	loops     []*unroll.Loop
-	loopItems []*item
-	factors   []int
-}
-
-func (ar *batchArena) reset() {
-	clearPtrs(ar.jobs)
-	ar.jobs = ar.jobs[:0]
-	for i := range ar.groups {
-		g := &ar.groups[i]
-		g.st = nil
-		clearPtrs(g.jobs)
-		clearPtrs(g.loops)
-		clearPtrs(g.loopItems)
-		g.jobs, g.loops, g.loopItems = g.jobs[:0], g.loops[:0], g.loopItems[:0]
-	}
-	ar.groups = ar.groups[:0]
-}
-
-// group finds or opens the arena slot for one model version. The linear
-// scan is exact-fit for MaxBatch-sized gathers (a handful of versions at
-// most); re-extending into the truncated tail keeps each slot's slice
-// capacity across dispatches.
-func (ar *batchArena) group(st *registry.Model) *modelGroup {
-	for i := range ar.groups {
-		if ar.groups[i].st == st {
-			return &ar.groups[i]
-		}
-	}
-	if len(ar.groups) < cap(ar.groups) {
-		ar.groups = ar.groups[:len(ar.groups)+1]
-	} else {
-		ar.groups = append(ar.groups, modelGroup{})
-	}
-	g := &ar.groups[len(ar.groups)-1]
-	g.st = st
-	return g
-}
-
-// clearPtrs nils a pointer slice so recycled arena storage doesn't pin
-// dead requests (and their loops) past the dispatch that owned them.
-func clearPtrs[T any](s []*T) {
-	for i := range s {
-		s[i] = nil
-	}
+	st    *registry.Model
+	jobs  []*job
+	loops []*item
 }
 
 // worker drains the admission queue, gathering up to MaxBatch items per
-// model dispatch into its private arena. A panic anywhere in a dispatch is
-// contained by safeRunBatch, so the worker — and with it the pool — never
-// dies.
+// dispatch. A panic anywhere in a dispatch is contained by guard, so the
+// worker — and with it the pool — never dies.
 func (s *Server) worker() {
 	defer s.workers.Done()
-	ar := &batchArena{}
 	for j := range s.queue {
-		ar.reset()
 		j.pickup()
-		ar.jobs = append(ar.jobs, j)
+		jobs := []*job{j}
 		n := len(j.items)
 		for n < s.cfg.MaxBatch {
 			var extra *job
@@ -572,16 +519,28 @@ func (s *Server) worker() {
 				break
 			}
 			extra.pickup()
-			ar.jobs = append(ar.jobs, extra)
+			jobs = append(jobs, extra)
 			n += len(extra.items)
 		}
-		for _, jb := range ar.jobs {
+		for _, jb := range jobs {
 			jb.trace.EndStage(obs.StageBatchAssembly)
 			jb.trace.BeginStage(obs.StagePredict)
 		}
 		mQueueDepth.Set(int64(len(s.queue)))
-		s.safeRunBatch(ar)
-		s.completed.Add(int64(len(ar.jobs)))
+		// Last resort: if the dispatch machinery itself panics (not just
+		// one prediction), every unfinished item fails with the panic
+		// error and every waiting handler is released.
+		if pe := s.guard(batchReqID(jobs), func() error { s.runBatch(jobs); return nil }); pe != nil {
+			for _, jb := range jobs {
+				for _, it := range jb.items {
+					if it.err == nil && it.factor == 0 {
+						it.err = pe
+					}
+				}
+				jb.finish()
+			}
+		}
+		s.completed.Add(int64(len(jobs)))
 	}
 }
 
@@ -610,25 +569,16 @@ func (s *Server) recordSuccess() {
 	}
 }
 
-// safeRunBatch is runBatch behind a last-resort panic barrier: if dispatch
-// machinery itself panics (not just one item's prediction), every
-// unfinished item in the gathered jobs fails with the panic error and every
-// waiting handler is released. Nothing hangs, nothing crashes.
-func (s *Server) safeRunBatch(ar *batchArena) {
+// guard is the worker's one panic barrier: it runs f and turns a panic in
+// it into the *faults.PanicError recordPanic logs under reqID, so a panic
+// fails only what f was computing.
+func (s *Server) guard(reqID string, f func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			pe := s.recordPanic(batchReqID(ar.jobs), r)
-			for _, j := range ar.jobs {
-				for _, it := range j.items {
-					if it.err == nil && it.factor == 0 {
-						it.err = pe
-					}
-				}
-				j.finish()
-			}
+			err = s.recordPanic(reqID, r)
 		}
 	}()
-	s.runBatch(ar)
+	return f()
 }
 
 // batchReqID names a merged dispatch in a panic log line: the first
@@ -642,58 +592,6 @@ func batchReqID(jobs []*job) string {
 		}
 	}
 	return ""
-}
-
-// safePredictFeatures runs one feature-vector prediction on the trained
-// predictor with per-item panic containment.
-func (s *Server) safePredictFeatures(st *registry.Model, it *item) (factor int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = s.recordPanic(it.reqID, r)
-		}
-	}()
-	if err := faults.Check("serve.predict"); err != nil {
-		return 0, err
-	}
-	return st.Pred.PredictFeatures(it.feats)
-}
-
-// safePredictLoop runs one loop prediction with per-item panic containment.
-func (s *Server) safePredictLoop(ctx context.Context, st *registry.Model, it *item) (factor int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = s.recordPanic(it.reqID, r)
-		}
-	}()
-	if err := faults.Check("serve.predict"); err != nil {
-		return 0, err
-	}
-	return st.Pred.PredictCtx(ctx, it.loop)
-}
-
-// safePredictBatch runs the merged model dispatch with panic containment;
-// a panic reports as an error so runBatch falls back to per-item
-// prediction, isolating the offending loop. The compiled predictor answers
-// the whole batch through the float32 distance path into the arena's
-// recycled factor slice.
-func (s *Server) safePredictBatch(ctx context.Context, st *registry.Model, reqID string, loops []*unroll.Loop, out []int) (factors []int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = s.recordPanic(reqID, r)
-		}
-	}()
-	if err := faults.Check("serve.batch"); err != nil {
-		return nil, err
-	}
-	if cap(out) < len(loops) {
-		out = make([]int, len(loops))
-	} else {
-		out = out[:len(loops)]
-	}
-	if err := st.Comp.PredictBatchInto(ctx, loops, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // batchContext builds the context a merged micro-batch computes under: the
@@ -714,17 +612,17 @@ func batchContext(jobs []*job) (context.Context, context.CancelFunc) {
 	return context.WithDeadline(context.Background(), latest)
 }
 
-// runBatch predicts every live item across the gathered jobs in one
-// batch dispatch per model version, falling back to per-item prediction
-// if a batch call fails so one bad loop cannot poison its neighbors. Each job computes on the version it resolved at admission —
-// a promotion mid-flight never reroutes admitted work. All intermediate
-// storage lives in the worker's arena and is recycled across dispatches.
-func (s *Server) runBatch(ar *batchArena) {
+// runBatch predicts every live item across the gathered jobs: feature
+// vectors one by one on the trained predictor, loops in one compiled
+// dispatch per model version. Each job computes on the version it
+// resolved at admission — a promotion mid-flight never reroutes admitted
+// work.
+func (s *Server) runBatch(jobs []*job) {
 	if s.preBatch != nil {
 		s.preBatch()
 	}
-	live := ar.jobs[:0]
-	for _, j := range ar.jobs {
+	var groups []modelGroup
+	for _, j := range jobs {
 		if err := j.ctx.Err(); err != nil {
 			for _, it := range j.items {
 				it.err = err
@@ -732,52 +630,82 @@ func (s *Server) runBatch(ar *batchArena) {
 			j.finish()
 			continue
 		}
-		live = append(live, j)
-		g := ar.group(j.st)
+		gi := slices.IndexFunc(groups, func(g modelGroup) bool { return g.st == j.st })
+		if gi < 0 {
+			gi = len(groups)
+			groups = append(groups, modelGroup{st: j.st})
+		}
+		g := &groups[gi]
 		g.jobs = append(g.jobs, j)
 		for _, it := range j.items {
 			if it.feats != nil {
-				it.factor, it.err = s.safePredictFeatures(j.st, it)
+				s.predictItem(j.ctx, j.st, it)
 			} else {
-				g.loops = append(g.loops, it.loop)
-				g.loopItems = append(g.loopItems, it)
+				g.loops = append(g.loops, it)
 			}
 		}
 	}
-	for gi := range ar.groups {
-		g := &ar.groups[gi]
-		if len(g.loops) == 0 {
-			continue
+	for gi := range groups {
+		g := &groups[gi]
+		if len(g.loops) > 0 {
+			s.predictLoops(g)
 		}
-		hBatchItems.Observe(int64(len(g.loops)))
-		ctx, cancel := batchContext(g.jobs)
-		factors, err := s.safePredictBatch(ctx, g.st, batchReqID(g.jobs), g.loops, g.factors)
+		for _, j := range g.jobs {
+			for _, it := range j.items {
+				if it.err == nil {
+					mItems.Inc()
+					s.recordSuccess()
+					s.cache.put(it.key, it.factor, it.name)
+					s.maybeShadow(j.st, it)
+				}
+			}
+			j.finish()
+		}
+	}
+}
+
+// predictLoops answers one version's loops with a single dispatch through
+// the compiled float32 batch path. If that dispatch fails or panics, each
+// loop is predicted alone on the trained predictor, behind its own panic
+// barrier, so one bad loop cannot poison its neighbors.
+func (s *Server) predictLoops(g *modelGroup) {
+	hBatchItems.Observe(int64(len(g.loops)))
+	ctx, cancel := batchContext(g.jobs)
+	defer cancel()
+	loops := make([]*unroll.Loop, len(g.loops))
+	for i, it := range g.loops {
+		loops[i] = it.loop
+	}
+	factors := make([]int, len(loops))
+	err := s.guard(batchReqID(g.jobs), func() error {
+		if err := faults.Check("serve.batch"); err != nil {
+			return err
+		}
+		return g.st.Comp.PredictBatchInto(ctx, loops, factors)
+	})
+	for i, it := range g.loops {
 		if err == nil {
-			g.factors = factors
-			for i, it := range g.loopItems {
-				it.factor = factors[i]
-			}
+			it.factor = factors[i]
 		} else {
-			// The merged dispatch failed or panicked: isolate the offender
-			// by predicting each member individually, each behind its own
-			// panic barrier.
-			for _, it := range g.loopItems {
-				it.factor, it.err = s.safePredictLoop(ctx, g.st, it)
-			}
+			s.predictItem(ctx, g.st, it)
 		}
-		cancel()
 	}
-	for _, j := range live {
-		for _, it := range j.items {
-			if it.err == nil {
-				mItems.Inc()
-				s.recordSuccess()
-				s.cache.put(it.key, it.factor, it.name)
-				s.maybeShadow(j.st, it)
-			}
+}
+
+// predictItem answers one item on the trained predictor behind the panic
+// barrier: a feature vector directly, a loop through PredictCtx.
+func (s *Server) predictItem(ctx context.Context, st *registry.Model, it *item) {
+	it.err = s.guard(it.reqID, func() (err error) {
+		if err := faults.Check("serve.predict"); err != nil {
+			return err
 		}
-		j.finish()
-	}
+		if it.feats != nil {
+			it.factor, err = st.Pred.PredictFeatures(it.feats)
+		} else {
+			it.factor, err = st.Pred.PredictCtx(ctx, it.loop)
+		}
+		return err
+	})
 }
 
 // keyBytesPool recycles the scratch cache keys are hashed from: the bytes
@@ -970,21 +898,37 @@ func registryStatus(err error) int {
 	}
 }
 
-// handlePredict serves POST /v1/predict; handlePredictV2 is the same
-// path with the v2 routing fields honored. v1 zeroes Model and Tenant
-// after the shared decode, so its wire behavior — default model, no
-// tenant accounting, byte-identical response encoding — is untouched.
+// The four predict routes share one request path. v1 zeroes the v2
+// routing fields after the shared decode, so its wire behavior — default
+// model, no tenant accounting, byte-identical response encoding — is
+// untouched.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	s.servePredict(w, r, false)
+	s.predict(w, r, false, false)
 }
 
 func (s *Server) handlePredictV2(w http.ResponseWriter, r *http.Request) {
-	s.servePredict(w, r, true)
+	s.predict(w, r, true, false)
 }
 
-func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, v2 bool) {
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	s.predict(w, r, false, true)
+}
+
+func (s *Server) handleBatchV2(w http.ResponseWriter, r *http.Request) {
+	s.predict(w, r, true, true)
+}
+
+// predict serves one predict request. A single predict is a batch of one
+// whose item's outcome is the HTTP answer; a batch answers per loop,
+// index-aligned with the request. Items the cache answers never reach the
+// admission queue; the rest travel as one job, so admission is atomic per
+// request.
+func (s *Server) predict(w http.ResponseWriter, r *http.Request, v2, batch bool) {
 	start := time.Now()
 	mReqs.Inc()
+	if batch {
+		mBatchReqs.Inc()
+	}
 	reqID := requestID(r)
 	w.Header().Set("X-Request-Id", reqID)
 	tr := obs.AcquireRequestTrace(reqID)
@@ -1003,198 +947,49 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, v2 bool) {
 		}
 		if abandoned {
 			// A deadline-abandoned request leaves its trace to the garbage
-			// collector — the worker may still write stage marks into it —
-			// exactly like the batch buffers below.
+			// collector: the worker may still write stage marks into it.
 			return
 		}
 		obs.DefaultRequests.Add(tr, total)
 		obs.ReleaseRequestTrace(tr)
 	}()
 
-	var req client.PredictV2Request
-	if !decodeBody(w, r, &req) {
+	loops, model, tenant, ok := decodePredict(w, r, batch)
+	if !ok {
 		return
 	}
 	if !v2 {
-		req.Model, req.Tenant = "", ""
+		model, tenant = "", ""
 	}
-	st, ok := s.resolveModel(w, req.Model)
+	st, ok := s.resolveModel(w, model)
 	if !ok {
 		return
 	}
 	s.modelCounter(st).Inc()
-	if ten = s.tenant(req.Tenant); ten != nil {
+	if ten = s.tenant(tenant); ten != nil {
 		ten.reqs.Inc()
 	}
+	items := make([]*item, len(loops))
+	pending := make([]*item, 0, len(loops))
 	tr.BeginStage(obs.StageCacheLookup)
-	it, status, err := s.newItem(st, req.PredictRequest)
-	tr.EndStage(obs.StageCacheLookup)
-	if err != nil {
-		writeError(w, status, err.Error())
-		return
-	}
-	if it.cached {
-		tr.BeginStage(obs.StageEncode)
-		writeJSON(w, http.StatusOK, predictResponse(st, it))
-		tr.EndStage(obs.StageEncode)
-		return
-	}
-	it.reqID = reqID
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	j := &job{ctx: ctx, items: []*item{it}, st: st, trace: tr, enqueued: time.Now(), done: make(chan struct{})}
-	// Queue wait opens before the enqueue so the worker (which ends it)
-	// can never race the begin mark; if admission fails the span simply
-	// never closes and is omitted from the record.
-	tr.BeginStage(obs.StageQueueWait)
-	tr.BeginStage(obs.StageAdmission)
-	admitted := s.enqueue(j)
-	tr.EndStage(obs.StageAdmission)
-	if !admitted {
-		srvOK = false
-		s.rejectOverloaded(w)
-		return
-	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		mDeadlines.Inc()
-		srvOK, abandoned = false, true
-		writeError(w, http.StatusGatewayTimeout, "deadline exceeded before the prediction completed")
-		return
-	}
-	if it.err != nil {
-		code := statusFor(it.err)
-		srvOK = code < 500
-		writeError(w, code, publicError(it.err, reqID))
-		return
-	}
-	tr.BeginStage(obs.StageEncode)
-	writeJSON(w, http.StatusOK, predictResponse(j.st, it))
-	tr.EndStage(obs.StageEncode)
-}
-
-// batchBuffers is one batch request's slice storage — the results, the
-// item index, and the pending list — recycled across requests. A buffer
-// set returns to the pool only when the worker can no longer touch it: a
-// request abandoned at its deadline leaves the set to the garbage
-// collector, because the dispatch may still be writing into pending.
-type batchBuffers struct {
-	results []client.BatchResult
-	items   []*item
-	pending []*item
-}
-
-var batchBufPool = sync.Pool{New: func() any { return new(batchBuffers) }}
-
-// prep sizes the buffer set for n loops, zeroing recycled storage.
-func (bb *batchBuffers) prep(n int) {
-	if cap(bb.results) < n {
-		bb.results = make([]client.BatchResult, n)
-		bb.items = make([]*item, n)
-	} else {
-		bb.results = bb.results[:n]
-		bb.items = bb.items[:n]
-		for i := range bb.results {
-			bb.results[i] = client.BatchResult{}
-			bb.items[i] = nil
-		}
-	}
-	clearPtrs(bb.pending)
-	bb.pending = bb.pending[:0]
-}
-
-// handleBatch serves POST /v1/predict/batch; handleBatchV2 adds the v2
-// routing fields (see handlePredict).
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.serveBatch(w, r, false)
-}
-
-func (s *Server) handleBatchV2(w http.ResponseWriter, r *http.Request) {
-	s.serveBatch(w, r, true)
-}
-
-func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, v2 bool) {
-	start := time.Now()
-	mReqs.Inc()
-	mBatchReqs.Inc()
-	reqID := requestID(r)
-	w.Header().Set("X-Request-Id", reqID)
-	tr := obs.AcquireRequestTrace(reqID)
-	srvOK := true
-	abandoned := false
-	var ten *tenantStats
-	defer func() {
-		total := time.Since(start)
-		hLatencyUS.Observe(total.Microseconds())
-		s.slo.Record(total.Microseconds(), srvOK)
-		if ten != nil {
-			ten.slo.Record(total.Microseconds(), srvOK)
-			if !srvOK {
-				ten.errs.Inc()
-			}
-		}
-		if abandoned {
-			return
-		}
-		obs.DefaultRequests.Add(tr, total)
-		obs.ReleaseRequestTrace(tr)
-	}()
-
-	var req client.BatchV2Request
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if !v2 {
-		req.Model, req.Tenant = "", ""
-	}
-	if len(req.Loops) == 0 {
-		writeError(w, http.StatusBadRequest, "batch request has no loops")
-		return
-	}
-	if len(req.Loops) > 1024 {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d loops exceeds the 1024-loop limit", len(req.Loops)))
-		return
-	}
-	st, ok := s.resolveModel(w, req.Model)
-	if !ok {
-		return
-	}
-	s.modelCounter(st).Inc()
-	if ten = s.tenant(req.Tenant); ten != nil {
-		ten.reqs.Inc()
-	}
-	bb := batchBufPool.Get().(*batchBuffers)
-	bb.prep(len(req.Loops))
-	recycle := true
-	defer func() {
-		if recycle {
-			batchBufPool.Put(bb)
-		}
-	}()
-	results := bb.results
-	items := bb.items // nil where already resolved
-	tr.BeginStage(obs.StageCacheLookup)
-	for i, lr := range req.Loops {
-		it, _, err := s.newItem(st, lr)
+	for i, lr := range loops {
+		it, status, err := s.newItem(st, lr)
 		if err != nil {
-			results[i] = client.BatchResult{Error: err.Error()}
-			continue
+			it = &item{err: err, status: status}
+		} else if !it.cached {
+			it.reqID = reqID
+			pending = append(pending, it)
 		}
-		if it.cached {
-			results[i] = batchResult(it, reqID)
-			continue
-		}
-		it.reqID = reqID
 		items[i] = it
-		bb.pending = append(bb.pending, it)
 	}
 	tr.EndStage(obs.StageCacheLookup)
-	if len(bb.pending) > 0 {
+	if len(pending) > 0 {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		j := &job{ctx: ctx, items: bb.pending, st: st, trace: tr, enqueued: time.Now(), done: make(chan struct{})}
+		j := &job{ctx: ctx, items: pending, st: st, trace: tr, enqueued: time.Now(), done: make(chan struct{})}
+		// Queue wait opens before the enqueue so the worker (which ends it)
+		// can never race the begin mark; if admission fails the span simply
+		// never closes and is omitted from the record.
 		tr.BeginStage(obs.StageQueueWait)
 		tr.BeginStage(obs.StageAdmission)
 		admitted := s.enqueue(j)
@@ -1208,26 +1003,59 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, v2 bool) {
 		case <-j.done:
 		case <-ctx.Done():
 			mDeadlines.Inc()
-			// The worker may still be writing into the pending slice and
-			// the trace; abandon both rather than recycling live storage.
-			recycle = false
 			srvOK, abandoned = false, true
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded before the batch completed")
+			what := "prediction"
+			if batch {
+				what = "batch"
+			}
+			writeError(w, http.StatusGatewayTimeout, "deadline exceeded before the "+what+" completed")
 			return
 		}
-		for i, it := range items {
-			if it != nil {
-				results[i] = batchResult(it, reqID)
+	}
+	var resp any
+	if batch {
+		resp = batchResponse(st, items, reqID)
+	} else {
+		it := items[0]
+		if it.err != nil {
+			code := it.status
+			if code == 0 {
+				code = statusFor(it.err)
 			}
+			srvOK = code < 500
+			writeError(w, code, publicError(it.err, reqID))
+			return
 		}
+		resp = predictResponse(st, it)
 	}
 	tr.BeginStage(obs.StageEncode)
-	writeJSON(w, http.StatusOK, client.BatchResponse{
-		Results:      results,
-		ModelVersion: st.Pred.Version(),
-		Fingerprint:  st.Fingerprint(),
-	})
+	writeJSON(w, http.StatusOK, resp)
 	tr.EndStage(obs.StageEncode)
+}
+
+// decodePredict reads a predict body: one loop, or a batch of 1 to 1024.
+// It answers the request itself when the body is refused.
+func decodePredict(w http.ResponseWriter, r *http.Request, batch bool) (loops []client.PredictRequest, model, tenant string, ok bool) {
+	if !batch {
+		var req client.PredictV2Request
+		if !decodeBody(w, r, &req) {
+			return nil, "", "", false
+		}
+		return []client.PredictRequest{req.PredictRequest}, req.Model, req.Tenant, true
+	}
+	var req client.BatchV2Request
+	if !decodeBody(w, r, &req) {
+		return nil, "", "", false
+	}
+	switch {
+	case len(req.Loops) == 0:
+		writeError(w, http.StatusBadRequest, "batch request has no loops")
+		return nil, "", "", false
+	case len(req.Loops) > 1024:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d loops exceeds the 1024-loop limit", len(req.Loops)))
+		return nil, "", "", false
+	}
+	return req.Loops, req.Model, req.Tenant, true
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -1367,11 +1195,16 @@ func predictResponse(st *registry.Model, it *item) client.PredictResponse {
 	}
 }
 
-func batchResult(it *item, reqID string) client.BatchResult {
-	if it.err != nil {
-		return client.BatchResult{Error: publicError(it.err, reqID), Loop: it.name}
+func batchResponse(st *registry.Model, items []*item, reqID string) client.BatchResponse {
+	results := make([]client.BatchResult, len(items))
+	for i, it := range items {
+		if it.err != nil {
+			results[i] = client.BatchResult{Error: publicError(it.err, reqID), Loop: it.name}
+		} else {
+			results[i] = client.BatchResult{Factor: it.factor, Cached: it.cached, Loop: it.name}
+		}
 	}
-	return client.BatchResult{Factor: it.factor, Cached: it.cached, Loop: it.name}
+	return client.BatchResponse{Results: results, ModelVersion: st.Pred.Version(), Fingerprint: st.Fingerprint()}
 }
 
 // publicError renders a prediction error for the wire. A contained panic

@@ -85,15 +85,21 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *client.Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hc := &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
+	c, err := client.NewClient(client.Config{Endpoints: []string{"http://" + addr}, HTTPClient: hc})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
+		// Concurrent requests can leave the client holding a connection
+		// it dialed but never used. The server sees it as new, and
+		// http.Server.Shutdown waits up to 5 s for a new connection's
+		// first request, so close the client's idle connections first.
+		hc.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		s.Shutdown(ctx)
 	})
-	c, err := client.NewClient(client.Config{Endpoints: []string{"http://" + addr}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return s, c
 }
 

@@ -26,10 +26,8 @@ import (
 // atomically; in-flight mirrored tasks keep scoring against the state
 // they were sampled under.
 type shadowState struct {
-	pred      *unroll.Predictor
-	path      string
-	mille     int64 // mirrored fraction in thousandths [0,1000]
-	startedAt time.Time
+	model *registry.Model // LoadedAt is when shadowing started
+	mille int64           // mirrored fraction in thousandths [0,1000]
 
 	seq      atomic.Int64 // sampling sequence over eligible requests
 	mirrored atomic.Int64
@@ -48,8 +46,7 @@ type shadowState struct {
 
 // shadowTask is one mirrored decision: the request inputs plus the
 // version that answered it and its factor. Inputs are per-request
-// allocations (never recycled arena storage), so holding them past the
-// response is safe.
+// allocations, so holding them past the response is safe.
 type shadowTask struct {
 	st     *shadowState
 	prim   *registry.Model // the version the request resolved to
@@ -113,7 +110,7 @@ func (s *Server) runShadow(t shadowTask) {
 	primNS := time.Since(start).Nanoseconds()
 
 	start = time.Now()
-	shadowFactor, shadowErr := predictOn(t.st.pred, t)
+	shadowFactor, shadowErr := predictOn(t.st.model.Pred, t)
 	shadowNS := time.Since(start).Nanoseconds()
 
 	if primErr != nil || shadowErr != nil {
@@ -156,8 +153,8 @@ func confusionIdx(primary, shadow int) int {
 }
 
 // handleShadow loads (or clears) the shadow candidate. Fraction must be
-// in (0,1] to enable; 0 disables shadowing. The candidate is compiled at
-// load as the registry compiles a live model, and one that fails to
+// in (0,1] to enable; 0 disables shadowing. The candidate goes through the
+// registry's loader without becoming resident, so one that fails to
 // compile is refused like any other bad artifact.
 func (s *Server) handleShadow(w http.ResponseWriter, r *http.Request) {
 	var req client.ShadowRequest
@@ -178,40 +175,20 @@ func (s *Server) handleShadow(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "shadow request names no artifact path")
 		return
 	}
-	pred, err := unroll.LoadPredictorFile(req.Path)
+	m, err := registry.LoadModel(req.Path)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("shadow load: %v", err))
 		return
 	}
-	comp, err := unroll.Compile(pred)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("shadow load: %v", err))
-		return
-	}
-	st := &shadowState{
-		pred:      pred,
-		path:      req.Path,
-		mille:     int64(req.Fraction*1000 + 0.5),
-		startedAt: time.Now(),
-	}
-	if st.mille == 0 {
-		st.mille = 1 // a nonzero fraction mirrors at least 1 in 1000
-	}
+	// A nonzero fraction mirrors at least 1 in 1000.
+	st := &shadowState{model: m, mille: max(int64(req.Fraction*1000+0.5), 1)}
 	s.shadow.Store(st)
 	mShadowActive.Set(1)
-	resp := client.ShadowResponse{
-		Enabled:  true,
-		Fraction: float64(st.mille) / 1000,
-		ModelInfo: client.ModelInfo{
-			Algorithm:    string(pred.Algorithm()),
-			ModelVersion: pred.Version(),
-			Fingerprint:  pred.Fingerprint(),
-			Path:         req.Path,
-			Compiled:     comp.Fingerprint(),
-			LoadedAt:     st.startedAt,
-		},
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, client.ShadowResponse{
+		Enabled:   true,
+		Fraction:  float64(st.mille) / 1000,
+		ModelInfo: modelInfo(m),
+	})
 }
 
 // handleShadowReport renders the accumulated comparison between the live
@@ -224,11 +201,11 @@ func (s *Server) handleShadowReport(w http.ResponseWriter, _ *http.Request) {
 	}
 	rep := client.ShadowReport{
 		Enabled:      true,
-		Path:         sh.path,
-		Fingerprint:  sh.pred.Fingerprint(),
-		ModelVersion: sh.pred.Version(),
+		Path:         sh.model.Path,
+		Fingerprint:  sh.model.Fingerprint(),
+		ModelVersion: sh.model.Pred.Version(),
 		Fraction:     float64(sh.mille) / 1000,
-		StartedAt:    sh.startedAt,
+		StartedAt:    sh.model.LoadedAt,
 		Sampled:      sh.seq.Load(),
 		Mirrored:     sh.mirrored.Load(),
 		Agree:        sh.agree.Load(),

@@ -26,7 +26,7 @@ func TestClientErrorHandling(t *testing.T) {
 		}
 	}))
 	defer srv.Close()
-	c := newTestClient(t, srv.URL+"/") // trailing slash is normalized
+	c := newTestClient(t, srv.URL+"/", Config{}) // trailing slash is normalized
 	ctx := context.Background()
 
 	_, err := c.Predict(ctx, PredictRequest{Source: "kernel k lang=c {}"})
@@ -56,10 +56,12 @@ func TestClientErrorHandling(t *testing.T) {
 	}
 }
 
-// newTestClient builds a client for the single test server at base.
-func newTestClient(t *testing.T, base string, opts ...Option) *Client {
+// newTestClient builds a client from cfg for the single test server at
+// base.
+func newTestClient(t *testing.T, base string, cfg Config) *Client {
 	t.Helper()
-	c, err := NewClient(Config{Endpoints: []string{base}}, opts...)
+	cfg.Endpoints = []string{base}
+	c, err := NewClient(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

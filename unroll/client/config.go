@@ -9,9 +9,7 @@ import (
 )
 
 // Config describes a Client: the replica set it spreads load over and the
-// resilience machinery armed on each endpoint. Build one directly or
-// through the With* functional options; NewClient accepts both styles and
-// they compose (options are applied on top of the struct).
+// resilience machinery armed on each endpoint.
 type Config struct {
 	// Endpoints are the replica base URLs, e.g. "http://10.0.0.1:8080".
 	// At least one is required. Requests are balanced across them with
@@ -22,10 +20,6 @@ type Config struct {
 	// HTTPClient substitutes the underlying *http.Client (pooling,
 	// timeouts, instrumentation). Default http.DefaultClient.
 	HTTPClient *http.Client
-
-	// Transport overrides the transport of the HTTP client actually used.
-	// The HTTPClient is shallow-copied before the override, never mutated.
-	Transport http.RoundTripper
 
 	// Retry arms exponential-backoff retries (with failover across
 	// endpoints) for idempotent requests. nil disables retries; multi-
@@ -58,73 +52,15 @@ type BreakerPolicy struct {
 	Cooldown  time.Duration // open duration before the probe (default 1s)
 }
 
-// Option configures a Client's Config.
-type Option func(*Config)
-
-// WithEndpoints appends replica base URLs to the set the client balances
-// over.
-func WithEndpoints(urls ...string) Option {
-	return func(c *Config) { c.Endpoints = append(c.Endpoints, urls...) }
-}
-
-// WithHTTPClient substitutes the underlying HTTP client.
-func WithHTTPClient(hc *http.Client) Option {
-	return func(c *Config) { c.HTTPClient = hc }
-}
-
-// WithTransport overrides the HTTP transport (the client is copied, the
-// caller's http.Client is never mutated).
-func WithTransport(rt http.RoundTripper) Option {
-	return func(c *Config) { c.Transport = rt }
-}
-
-// WithRetry arms the retry loop for idempotent requests.
-func WithRetry(p RetryPolicy) Option {
-	return func(c *Config) { c.Retry = &p }
-}
-
-// WithRetryBudget bounds retries per endpoint to Ratio tokens per
-// successful request with a Burst starting balance.
-func WithRetryBudget(b RetryBudget) Option {
-	return func(c *Config) { c.Budget = &b }
-}
-
-// WithBreaker arms a circuit breaker on every endpoint: after threshold
-// consecutive failures an endpoint fails fast with ErrCircuitOpen for
-// cooldown, then lets a single probe through (half-open); the probe's
-// outcome closes or reopens its circuit.
-func WithBreaker(threshold int, cooldown time.Duration) Option {
-	return func(c *Config) { c.Breaker = &BreakerPolicy{Threshold: threshold, Cooldown: cooldown} }
-}
-
-// WithModel sets the default model pin (fingerprint or alias) stamped on
-// v2 requests.
-func WithModel(model string) Option {
-	return func(c *Config) { c.Model = model }
-}
-
-// WithTenant sets the default tenant label stamped on v2 requests.
-func WithTenant(tenant string) Option {
-	return func(c *Config) { c.Tenant = tenant }
-}
-
 // NewClient builds a client for a replica set. At least one endpoint is
-// required; options are applied on top of cfg.
-func NewClient(cfg Config, opts ...Option) (*Client, error) {
-	for _, o := range opts {
-		o(&cfg)
-	}
+// required.
+func NewClient(cfg Config) (*Client, error) {
 	if len(cfg.Endpoints) == 0 {
 		return nil, errors.New("client: Config.Endpoints is empty; name at least one replica")
 	}
 	hc := cfg.HTTPClient
 	if hc == nil {
 		hc = http.DefaultClient
-	}
-	if cfg.Transport != nil {
-		cp := *hc
-		cp.Transport = cfg.Transport
-		hc = &cp
 	}
 	c := &Client{hc: hc, model: cfg.Model, tenant: cfg.Tenant}
 	seed := time.Now().UnixNano()

@@ -57,7 +57,7 @@ func TestAPIErrorMapping(t *testing.T) {
 		json.NewEncoder(w).Encode(ErrorResponse{Error: "boom"})
 	}))
 	defer srv.Close()
-	c := newTestClient(t, srv.URL)
+	c := newTestClient(t, srv.URL, Config{})
 	ctx := context.Background()
 	for _, tc := range cases {
 		status.Store(int64(tc.status))

@@ -32,12 +32,12 @@ func TestRequestIDStableAcrossRetries(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := newTestClient(t, srv.URL, WithRetry(RetryPolicy{
+	c := newTestClient(t, srv.URL, Config{Retry: &RetryPolicy{
 		MaxAttempts: 4,
 		BaseDelay:   time.Millisecond,
 		MaxDelay:    2 * time.Millisecond,
 		Seed:        1,
-	}))
+	}})
 	resp, err := c.Predict(context.Background(), PredictRequest{Source: "kernel k lang=c { double x[]; for i = 0 .. 4 { x[i] = 0.0; } }"})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestClientEndpointMetrics(t *testing.T) {
 		}
 	}))
 	defer srv.Close()
-	c := newTestClient(t, srv.URL)
+	c := newTestClient(t, srv.URL, Config{})
 	ctx := context.Background()
 
 	predictBefore := obs.C("client.predict.requests").Value()

@@ -43,13 +43,13 @@ func flakyServer(t *testing.T, fail int, retryAfter string) (*httptest.Server, *
 }
 
 // fastRetry keeps test wall-clock tiny and jitter deterministic.
-func fastRetry(attempts int) RetryPolicy {
-	return RetryPolicy{MaxAttempts: attempts, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, Seed: 42}
+func fastRetry(attempts int) *RetryPolicy {
+	return &RetryPolicy{MaxAttempts: attempts, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, Seed: 42}
 }
 
 func TestRetrySucceedsAfterBackoff(t *testing.T) {
 	srv, calls := flakyServer(t, 2, "0")
-	c := newTestClient(t, srv.URL, WithRetry(fastRetry(4)))
+	c := newTestClient(t, srv.URL, Config{Retry: fastRetry(4)})
 	retriesBefore := mRetries.Value()
 	resp, err := c.Predict(context.Background(), PredictRequest{Source: "k"})
 	if err != nil {
@@ -68,7 +68,7 @@ func TestRetrySucceedsAfterBackoff(t *testing.T) {
 
 func TestRetryExhaustsBudget(t *testing.T) {
 	srv, calls := flakyServer(t, 100, "0")
-	c := newTestClient(t, srv.URL, WithRetry(fastRetry(3)))
+	c := newTestClient(t, srv.URL, Config{Retry: fastRetry(3)})
 	_, err := c.Predict(context.Background(), PredictRequest{Source: "k"})
 	if !IsOverloaded(err) {
 		t.Fatalf("want final 503 after budget, got %v", err)
@@ -80,7 +80,7 @@ func TestRetryExhaustsBudget(t *testing.T) {
 
 func TestRetryOnlyIdempotent(t *testing.T) {
 	srv, calls := flakyServer(t, 100, "0")
-	c := newTestClient(t, srv.URL, WithRetry(fastRetry(5)))
+	c := newTestClient(t, srv.URL, Config{Retry: fastRetry(5)})
 	if _, err := c.Reload(context.Background(), "x"); err == nil {
 		t.Fatal("reload should fail")
 	}
@@ -97,7 +97,7 @@ func TestRetryDoesNotRetry4xx(t *testing.T) {
 		json.NewEncoder(w).Encode(ErrorResponse{Error: "bad loop"})
 	}))
 	defer srv.Close()
-	c := newTestClient(t, srv.URL, WithRetry(fastRetry(5)))
+	c := newTestClient(t, srv.URL, Config{Retry: fastRetry(5)})
 	_, err := c.Predict(context.Background(), PredictRequest{Source: "k"})
 	ae, ok := err.(*APIError)
 	if !ok || ae.Status != http.StatusBadRequest {
@@ -112,7 +112,7 @@ func TestRetryRespectsContextDeadline(t *testing.T) {
 	srv, _ := flakyServer(t, 100, "")
 	// Long backoff vs. a short deadline: the loop must give up promptly
 	// rather than sleep past the deadline.
-	c := newTestClient(t, srv.URL, WithRetry(RetryPolicy{MaxAttempts: 10, BaseDelay: 10 * time.Second, MaxDelay: 20 * time.Second, Seed: 1}))
+	c := newTestClient(t, srv.URL, Config{Retry: &RetryPolicy{MaxAttempts: 10, BaseDelay: 10 * time.Second, MaxDelay: 20 * time.Second, Seed: 1}})
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -161,7 +161,7 @@ func TestParseRetryAfterClamp(t *testing.T) {
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	srv, calls := flakyServer(t, 3, "0")
 	now := time.Unix(0, 0)
-	c := newTestClient(t, srv.URL, WithBreaker(3, time.Second))
+	c := newTestClient(t, srv.URL, Config{Breaker: &BreakerPolicy{Threshold: 3, Cooldown: time.Second}})
 	c.eps[0].breaker.now = func() time.Time { return now }
 	ctx := context.Background()
 
@@ -196,7 +196,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 func TestBreakerProbeFailureReopens(t *testing.T) {
 	srv, _ := flakyServer(t, 100, "0")
 	now := time.Unix(0, 0)
-	c := newTestClient(t, srv.URL, WithBreaker(2, time.Second))
+	c := newTestClient(t, srv.URL, Config{Breaker: &BreakerPolicy{Threshold: 2, Cooldown: time.Second}})
 	c.eps[0].breaker.now = func() time.Time { return now }
 	ctx := context.Background()
 
@@ -238,7 +238,7 @@ func TestBodyDrainKeepsConnectionsReused(t *testing.T) {
 		},
 	}
 	defer tr.CloseIdleConnections()
-	c := newTestClient(t, srv.URL, WithHTTPClient(&http.Client{Transport: tr}))
+	c := newTestClient(t, srv.URL, Config{HTTPClient: &http.Client{Transport: tr}})
 	ctx := context.Background()
 	for i := 0; i < 8; i++ {
 		if _, err := c.Predict(ctx, PredictRequest{Source: "k"}); err == nil {
