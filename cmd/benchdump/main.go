@@ -6,7 +6,7 @@
 // Modes:
 //
 //	benchdump -out BENCH_10.json           run the suite, write JSON
-//	benchdump -compare old.json -against new.json -gate LOOCVParallel,PredictBatch,DatasetLoad
+//	benchdump -compare old.json -against new.json -gate LOOCVParallel,PredictBatch
 //	                                       diff two dumps; non-zero exit if a
 //	                                       gated benchmark regressed by more
 //	                                       than -threshold (default 10%)
@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"metaopt/internal/analysis"
-	"metaopt/internal/colstore"
 	"metaopt/internal/core"
 	"metaopt/internal/experiments"
 	"metaopt/internal/lang"
@@ -107,8 +106,8 @@ func lssvmSystem(n int) *linalg.Matrix {
 // suite builds the benchmark closures. The corpus-backed entries share one
 // lazily-built environment (the same configuration the bench_test.go
 // harness uses), so the dump prices the benchmarks, not corpus setup. The
-// cleanup function removes the on-disk dataset fixtures the persistence
-// benchmarks read.
+// cleanup function removes the on-disk dataset fixture the load benchmark
+// reads.
 func suite() ([]struct {
 	name string
 	fn   func(b *testing.B)
@@ -179,16 +178,14 @@ collect:
 		}
 	}
 
-	// On-disk dataset fixtures for the persistence benchmarks: the same
-	// serve-path dataset written once in the JSON release format and once
-	// in the binary columnar format.
+	// On-disk dataset fixture for the load benchmark: the serve-path
+	// dataset in the JSON release format.
 	fixtures, err := os.MkdirTemp("", "benchdump")
 	if err != nil {
 		return nil, cleanup, err
 	}
 	cleanup = func() { os.RemoveAll(fixtures) }
 	jsonPath := filepath.Join(fixtures, "dataset.json")
-	colPath := filepath.Join(fixtures, "dataset.cols")
 	jf, err := os.Create(jsonPath)
 	if err != nil {
 		return nil, cleanup, err
@@ -198,9 +195,6 @@ collect:
 		return nil, cleanup, err
 	}
 	if err := jf.Close(); err != nil {
-		return nil, cleanup, err
-	}
-	if err := pd.SaveColumnar(colPath, "benchdump fixture"); err != nil {
 		return nil, cleanup, err
 	}
 	sel.BuildColumns()
@@ -302,36 +296,6 @@ collect:
 				if _, err := unroll.LoadDatasetFile(jsonPath); err != nil {
 					b.Fatal(err)
 				}
-			}
-		}},
-		{"DatasetLoad", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := unroll.LoadDatasetFile(colPath); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"DatasetScan", func(b *testing.B) {
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				r, err := colstore.Open(colPath)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cols := r.Dataset().Cols
-				for c := 0; c < cols.NumChunks(); c++ {
-					for _, col := range cols.Chunk(c).Feats {
-						for _, v := range col {
-							sink += v
-						}
-					}
-				}
-				if err := r.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if sink != sink { // NaN guard keeps the scan from being elided
-				b.Fatal("scan folded to NaN")
 			}
 		}},
 		{"GreedyParallel", func(b *testing.B) {
@@ -581,7 +545,7 @@ func main() {
 	out := flag.String("out", "BENCH_10.json", "output file for benchmark results ('-' for stdout)")
 	comparePath := flag.String("compare", "", "baseline dump to compare -against (skips running benchmarks)")
 	againstPath := flag.String("against", "", "candidate dump compared to -compare")
-	gate := flag.String("gate", "LOOCVParallel,PredictBatch,ServeTracedRequest,DatasetLoad,LOOCVColumnar", "comma-separated benchmarks whose regression fails the comparison")
+	gate := flag.String("gate", "LOOCVParallel,PredictBatch,ServeTracedRequest,LOOCVColumnar", "comma-separated benchmarks whose regression fails the comparison")
 	threshold := flag.Float64("threshold", 0.10, "maximum allowed relative slowdown for gated benchmarks")
 	flag.Parse()
 

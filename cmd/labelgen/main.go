@@ -5,16 +5,11 @@
 // dataset as JSON — the equivalent of the raw loop data the authors
 // released. Optionally it also dumps every kernel's LoopLang source.
 //
-// Long runs survive interruption: -checkpoint snapshots progress
-// atomically every few benchmarks, and -resume continues from the snapshot
-// with output bit-identical to an uninterrupted run.
-//
-// At 100× corpus scale one process is not enough; labelgen then runs as a
-// fault-tolerant cluster. -coordinator serves the corpus as leased shards
-// and merges the uploaded shard checkpoints into a dataset byte-identical
-// to a serial run, surviving kills of itself (manifest replay) and of any
-// worker (lease expiry, fencing, re-lease). -worker labels leased shards
-// with the resumable collector and uploads them.
+// One process labels the full corpus in about a second; -replicate N
+// labels N perturbed copies of it for 10×–100× stress datasets. Long runs
+// survive interruption: -checkpoint snapshots progress atomically every few
+// benchmarks, and -resume continues from the snapshot with output
+// bit-identical to an uninterrupted run.
 //
 // Usage:
 //
@@ -22,12 +17,6 @@
 //	         [-out dataset.json] [-dump-kernels dir] \
 //	         [-checkpoint labels.ckpt] [-resume] [-checkpoint-every 8] \
 //	         [-manifest out.json] [-debugaddr :0]
-//
-//	labelgen -coordinator 127.0.0.1:9471 -dir coord [-shards 16] \
-//	         [-lease-ttl 10s] [-linger 2s] [-scale ...] [-out dataset.json]
-//
-//	labelgen -worker http://127.0.0.1:9471 -dir w1 [-name w1] \
-//	         [-heartbeat 2s] [-checkpoint-every 1]
 package main
 
 import (
@@ -35,10 +24,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"metaopt/internal/atomicio"
-	"metaopt/internal/dist"
 	"metaopt/internal/faults"
 	"metaopt/internal/obs"
 	"metaopt/internal/par"
@@ -52,7 +39,6 @@ func main() {
 		runs      = flag.Int("runs", 30, "measurement repetitions per timing")
 		swp       = flag.Bool("swp", false, "label with software pipelining enabled")
 		out       = flag.String("out", "dataset.json", "output dataset path")
-		format    = flag.String("format", "json", "output format: json, csv or colstore (binary columnar)")
 		replicate = flag.Int("replicate", 1, "deterministically replicate the corpus N times (perturbed seeds, \"@rN\" names) for 10x/100x stress datasets")
 		dump      = flag.String("dump-kernels", "", "directory to write kernel sources into (optional)")
 		stats     = flag.Bool("stats", false, "print corpus composition statistics and exit")
@@ -61,16 +47,7 @@ func main() {
 		ckptEvery = flag.Int("checkpoint-every", 8, "benchmarks between checkpoint snapshots")
 		manifest  = flag.String("manifest", "", "write a machine-readable run manifest to this file")
 		debugAddr = flag.String("debugaddr", "", "serve live /debug/metrics and /debug/pprof on this address while running (\":0\" picks a port)")
-		workers   = flag.Int("workers", 0, "parallel labeling workers in this process (0 = GOMAXPROCS); not label-affecting, so checkpoints resume across different values")
-
-		coordAddr = flag.String("coordinator", "", "run as the cluster coordinator, serving the shard protocol on this address")
-		workerURL = flag.String("worker", "", "run as a cluster worker against this coordinator URL")
-		name      = flag.String("name", "", "worker name; keep it stable across restarts to resume a lease (default host-pid)")
-		dir       = flag.String("dir", "", "cluster state directory (coordinator: shards+manifest; worker: local checkpoints)")
-		shards    = flag.Int("shards", 16, "coordinator: number of shards to split the corpus into")
-		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "coordinator: heartbeat-extended lease deadline")
-		linger    = flag.Duration("linger", 2*time.Second, "coordinator: keep telling workers to stop for this long after the merge")
-		heartbeat = flag.Duration("heartbeat", 2*time.Second, "worker: lease renewal cadence")
+		workers   = flag.Int("workers", 0, "parallel labeling workers (0 = GOMAXPROCS); not label-affecting, so checkpoints resume across different values")
 	)
 	flag.Parse()
 
@@ -83,10 +60,6 @@ func main() {
 	}
 	if *resume && *ckpt == "" {
 		fmt.Fprintln(os.Stderr, "labelgen: -resume needs -checkpoint")
-		os.Exit(1)
-	}
-	if *coordAddr != "" && *workerURL != "" {
-		fmt.Fprintln(os.Stderr, "labelgen: -coordinator and -worker are mutually exclusive")
 		os.Exit(1)
 	}
 	if *debugAddr != "" {
@@ -104,42 +77,18 @@ func main() {
 		}
 		return
 	}
-	if *coordAddr != "" {
-		rc := dist.RunConfig{Seed: *seed, Scale: *scale, Runs: *runs, SWP: *swp, Replicate: *replicate}
-		stateDir := *dir
-		if stateDir == "" {
-			stateDir = "dist-coordinator"
-		}
-		if err := runCoordinator(*coordAddr, rc, *shards, stateDir, *out, *format, *leaseTTL, *linger); err != nil {
-			fmt.Fprintf(os.Stderr, "labelgen: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *workerURL != "" {
-		stateDir := *dir
-		if stateDir == "" {
-			stateDir = "dist-worker"
-		}
-		if err := runWorker(*workerURL, *name, stateDir, *heartbeat, *ckptEvery); err != nil {
-			fmt.Fprintf(os.Stderr, "labelgen: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*scale, *seed, *runs, *swp, *replicate, *out, *format, *dump, *ckpt, *resume, *ckptEvery); err != nil {
+	if err := run(*scale, *seed, *runs, *swp, *replicate, *out, *dump, *ckpt, *resume, *ckptEvery); err != nil {
 		fmt.Fprintf(os.Stderr, "labelgen: %v\n", err)
 		os.Exit(1)
 	}
 	if *manifest != "" {
 		type manifestConfig struct {
-			Scale  float64 `json:"scale"`
-			Runs   int     `json:"runs"`
-			SWP    bool    `json:"swp"`
-			Format string  `json:"format"`
+			Scale float64 `json:"scale"`
+			Runs  int     `json:"runs"`
+			SWP   bool    `json:"swp"`
 		}
 		m := obs.BuildManifest("labelgen", os.Args[1:], *seed, par.Limit(),
-			manifestConfig{Scale: *scale, Runs: *runs, SWP: *swp, Format: *format})
+			manifestConfig{Scale: *scale, Runs: *runs, SWP: *swp})
 		if err := m.WriteFile(*manifest); err != nil {
 			fmt.Fprintf(os.Stderr, "labelgen: manifest: %v\n", err)
 			os.Exit(1)
@@ -148,7 +97,7 @@ func main() {
 	}
 }
 
-func run(scale float64, seed int64, runs int, swp bool, replicate int, out, format, dump, ckpt string, resume bool, ckptEvery int) error {
+func run(scale float64, seed int64, runs int, swp bool, replicate int, out, dump, ckpt string, resume bool, ckptEvery int) error {
 	sp := obs.Begin("corpus.generate")
 	corpus, err := unroll.GenerateCorpusReplicated(seed, scale, replicate)
 	sp.End()
@@ -186,18 +135,7 @@ func run(scale float64, seed int64, runs int, swp bool, replicate int, out, form
 	}
 	fmt.Fprintf(os.Stderr, "labeled %d training examples (after the 50k-cycle floor and 1.05x filter)\n", ds.Len())
 
-	switch format {
-	case "json":
-		err = atomicio.WriteFile(out, ds.Save)
-	case "csv":
-		err = atomicio.WriteFile(out, ds.SaveCSV)
-	case "colstore":
-		rc := dist.RunConfig{Seed: seed, Scale: scale, Runs: runs, SWP: swp, Replicate: replicate}
-		err = ds.SaveColumnar(out, rc.Fingerprint())
-	default:
-		err = fmt.Errorf("unknown format %q", format)
-	}
-	if err != nil {
+	if err := atomicio.WriteFile(out, ds.Save); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", out)

@@ -8,10 +8,9 @@ import (
 	"metaopt/unroll"
 )
 
-// obtainPredictor loads a saved artifact (the fast path that never
-// retrains), or — deprecated — trains one from a dataset file, or, as a
-// last resort, labels a small fresh corpus and trains.
-func obtainPredictor(modelPath, dataPath string, alg unroll.Algorithm, m *unroll.Machine, seed int64) (*unroll.Predictor, error) {
+// obtainPredictor loads a saved artifact (the path that never retrains),
+// or, without one, labels a small fresh corpus and trains.
+func obtainPredictor(modelPath string, alg unroll.Algorithm, m *unroll.Machine, seed int64) (*unroll.Predictor, error) {
 	if modelPath != "" {
 		f, err := os.Open(modelPath)
 		if err != nil {
@@ -20,10 +19,7 @@ func obtainPredictor(modelPath, dataPath string, alg unroll.Algorithm, m *unroll
 		defer f.Close()
 		return unroll.LoadPredictor(f)
 	}
-	if dataPath != "" {
-		fmt.Fprintln(os.Stderr, "metaopt: warning: -data retrains the model on every invocation (deprecated); train once with 'metaopt train -data ... -o model.json' and pass -model")
-	}
-	ds, err := loadOrCollectDataset(dataPath, m, seed, 0.15, 10)
+	ds, err := loadOrCollectDataset("", m, seed, 0.15, 10)
 	if err != nil {
 		return nil, err
 	}
@@ -38,8 +34,7 @@ func obtainPredictor(modelPath, dataPath string, alg unroll.Algorithm, m *unroll
 
 func cmdExplain(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	model := fs.String("model", "", "trained predictor JSON (must be near-neighbor)")
-	data := fs.String("data", "", "training dataset JSON; empty = generate a small corpus")
+	model := fs.String("model", "", "trained predictor JSON (must be near-neighbor); empty = train on a small generated corpus")
 	mach := fs.String("mach", "itanium2", "machine model")
 	k := fs.Int("k", 5, "how many nearest neighbors to show")
 	seed := fs.Int64("seed", 1, "seed for corpus generation and training")
@@ -53,7 +48,7 @@ func cmdExplain(args []string) error {
 	if err != nil {
 		return err
 	}
-	p, err := obtainPredictor(*model, *data, unroll.NearNeighbor, m, *seed)
+	p, err := obtainPredictor(*model, unroll.NearNeighbor, m, *seed)
 	if err != nil {
 		return err
 	}

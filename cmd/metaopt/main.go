@@ -76,7 +76,7 @@ func usage() {
   metaopt heuristic [-swp] <file.loop>         the hand-written baseline's choices
   metaopt schedule [-u N] [-swp] <file.loop>   show the scheduled loop body (bundle table / kernel)
   metaopt dot [-u N] <file.loop>               dependence graph in Graphviz format
-  metaopt explain [-model M | -data D] <file>  nearest-neighbor evidence behind each prediction
+  metaopt explain [-model M] <file>            nearest-neighbor evidence behind each prediction
   metaopt eval [-data D] [-alg A]              leave-one-out evaluation with a confusion matrix`)
 }
 

@@ -54,7 +54,7 @@ func TestLoadLoops(t *testing.T) {
 }
 
 func TestObtainPredictorModelPathErrors(t *testing.T) {
-	if _, err := obtainPredictor("/nonexistent/model.json", "", "nn", nil, 1); err == nil {
+	if _, err := obtainPredictor("/nonexistent/model.json", "nn", nil, 1); err == nil {
 		t.Error("expected error for missing model file")
 	}
 	dir := t.TempDir()
@@ -62,11 +62,8 @@ func TestObtainPredictorModelPathErrors(t *testing.T) {
 	if err := os.WriteFile(garbage, []byte("{oops"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obtainPredictor(garbage, "", "nn", nil, 1); err == nil {
+	if _, err := obtainPredictor(garbage, "nn", nil, 1); err == nil {
 		t.Error("expected error for garbage model file")
-	}
-	if _, err := obtainPredictor("", "/nonexistent/data.json", "nn", nil, 1); err == nil {
-		t.Error("expected error for missing dataset file")
 	}
 }
 

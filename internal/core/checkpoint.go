@@ -86,47 +86,6 @@ func (ck *Checkpoint) Compatible(t *sim.Timer, seed int64) error {
 	return nil
 }
 
-// CompatibleWith reports whether two checkpoints come from the same
-// experiment configuration, the merge-side analogue of Compatible: shard
-// checkpoints produced by different seeds, run counts, pipelining modes, or
-// machines must never be spliced into one dataset. Worker count is ignored
-// for the same reason Compatible ignores it.
-func (ck *Checkpoint) CompatibleWith(other *Checkpoint) error {
-	if other.Version > CheckpointVersion {
-		return fmt.Errorf("core: checkpoint uses format v%d but this build understands up to v%d", other.Version, CheckpointVersion)
-	}
-	switch {
-	case other.Seed != ck.Seed:
-		return fmt.Errorf("core: checkpoint seed %d, want %d", other.Seed, ck.Seed)
-	case other.Runs != ck.Runs:
-		return fmt.Errorf("core: checkpoint has %d runs per timing, want %d", other.Runs, ck.Runs)
-	case other.SWP != ck.SWP:
-		return fmt.Errorf("core: checkpoint has swp=%v, want swp=%v", other.SWP, ck.SWP)
-	case other.Machine != ck.Machine:
-		return fmt.Errorf("core: checkpoint targets machine %q, want %q", other.Machine, ck.Machine)
-	}
-	return nil
-}
-
-// Merge folds another checkpoint's measurements into ck. The two must be
-// config-compatible, and no benchmark may appear in both: a duplicate means
-// the same shard of work is being merged twice, which Merge refuses rather
-// than silently letting one copy win.
-func (ck *Checkpoint) Merge(other *Checkpoint) error {
-	if err := ck.CompatibleWith(other); err != nil {
-		return err
-	}
-	for name := range other.Benchmarks {
-		if _, dup := ck.Benchmarks[name]; dup {
-			return fmt.Errorf("core: merge: benchmark %q already merged", name)
-		}
-	}
-	for name, recs := range other.Benchmarks {
-		ck.Benchmarks[name] = recs
-	}
-	return nil
-}
-
 // Encode writes the checkpoint as indented JSON. Map keys marshal sorted,
 // so identical progress always encodes to identical bytes.
 func (ck *Checkpoint) Encode(w io.Writer) error {

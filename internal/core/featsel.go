@@ -36,12 +36,7 @@ func DefaultSelectOptions() SelectOptions {
 }
 
 // SelectFeatures runs the three feature-selection procedures on a dataset.
-// Mutual information and greedy selection read feature rows, so a
-// column-only dataset is refused.
 func SelectFeatures(d *ml.Dataset, opt SelectOptions) (*FeatureSelection, error) {
-	if d.Len() > 0 && !d.HasRows() {
-		return nil, fmt.Errorf("core: feature selection needs materialized feature rows")
-	}
 	if opt.TopK <= 0 {
 		opt.TopK = 5
 	}

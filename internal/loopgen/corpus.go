@@ -61,7 +61,7 @@ type Options struct {
 	// its benchmarks renamed "name@rN", so every replica contributes
 	// distinct loops and an independent measurement-noise stream (noise is
 	// seeded per benchmark name). 0 or 1 means a single copy; 10 or 100
-	// builds the reproducible stress corpora for out-of-core training.
+	// builds the reproducible stress corpora for large-scale training.
 	Replicate int
 }
 

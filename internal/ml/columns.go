@@ -1,117 +1,34 @@
 package ml
 
-import "fmt"
-
-// Columns is an optional column-major backing for a Dataset: every feature
-// is a set of contiguous float64 slabs (one per chunk), so per-feature scans
-// — normalization fitting, additive distance construction, greedy feature
-// projection — run as sequential loads instead of chasing one slice header
-// per example. The slabs may alias a memory-mapped dataset file
-// (internal/colstore), in which case they are read-only and valid only
-// until the mapping is closed.
-//
-// Chunking mirrors the on-disk layout of the columnar store: an append-only
-// writer seals a chunk every few thousand rows, so a column is contiguous
-// within a chunk but not across chunks. Blocked kernels iterate chunks in
-// order, which visits examples in exactly the order a row-major
-// `for _, e := range d.Examples` loop does — the property every
-// bit-identity argument below rests on.
+// Columns is the column-major layout of a Dataset's features: every feature
+// is one contiguous full-length slab, so per-feature scans — normalization
+// fitting, additive distance construction, greedy feature projection — run
+// as sequential loads instead of chasing one slice header per example.
+// Columns are read-only once built; a projection shares its parent's slabs.
 type Columns struct {
-	N   int // total rows across chunks
+	N   int // rows
 	Dim int // features per row
 
-	// Labels holds every example's label in row order. Unlike the feature
-	// slabs it is always materialized on the heap (it is n ints, tiny next
-	// to n×dim floats), so label scans never fault mapped pages.
+	// Labels holds every example's label in row order.
 	Labels []int
 
-	chunks []ColChunk
-}
-
-// ColChunk is one contiguous run of rows.
-type ColChunk struct {
-	Start int         // global row index of the chunk's first row
-	Rows  int         // rows in this chunk
-	Feats [][]float64 // Feats[j] is feature j's column, len Rows
-}
-
-// NewColumns assembles a backing from sealed chunks. Labels must have
-// exactly as many entries as the chunks have rows.
-func NewColumns(dim int, labels []int, chunks []ColChunk) (*Columns, error) {
-	n := 0
-	for i := range chunks {
-		ch := &chunks[i]
-		if ch.Start != n {
-			return nil, fmt.Errorf("ml: chunk %d starts at row %d, want %d", i, ch.Start, n)
-		}
-		if len(ch.Feats) != dim {
-			return nil, fmt.Errorf("ml: chunk %d has %d feature columns, want %d", i, len(ch.Feats), dim)
-		}
-		for j, col := range ch.Feats {
-			if len(col) != ch.Rows {
-				return nil, fmt.Errorf("ml: chunk %d feature %d has %d rows, want %d", i, j, len(col), ch.Rows)
-			}
-		}
-		n += ch.Rows
-	}
-	if len(labels) != n {
-		return nil, fmt.Errorf("ml: %d labels for %d rows", len(labels), n)
-	}
-	return &Columns{N: n, Dim: dim, Labels: labels, chunks: chunks}, nil
-}
-
-// NumChunks returns how many contiguous runs back the columns.
-func (c *Columns) NumChunks() int { return len(c.chunks) }
-
-// Chunk returns the i-th run.
-func (c *Columns) Chunk(i int) *ColChunk { return &c.chunks[i] }
-
-// Feature gathers feature j's full column into dst (grown when too small)
-// and returns it. The copy is one sequential pass per chunk.
-func (c *Columns) Feature(j int, dst []float64) []float64 {
-	if cap(dst) < c.N {
-		dst = make([]float64, c.N)
-	} else {
-		dst = dst[:c.N]
-	}
-	for i := range c.chunks {
-		ch := &c.chunks[i]
-		copy(dst[ch.Start:ch.Start+ch.Rows], ch.Feats[j])
-	}
-	return dst
-}
-
-// At returns the value of feature j at global row i. It is O(#chunks) and
-// meant for spot checks, not hot loops — blocked kernels iterate chunks.
-func (c *Columns) At(i, j int) float64 {
-	for k := range c.chunks {
-		ch := &c.chunks[k]
-		if i < ch.Start+ch.Rows {
-			return ch.Feats[j][i-ch.Start]
-		}
-	}
-	panic(fmt.Sprintf("ml: row %d out of %d", i, c.N))
+	feats [][]float64 // feats[j] is feature j's column, len N
 }
 
 // Project returns a backing over the feature subset idx, in idx order. The
-// projected chunks share the parent's column slabs — no floats move.
+// projection shares the parent's column slabs — no floats move.
 func (c *Columns) Project(idx []int) *Columns {
-	chunks := make([]ColChunk, len(c.chunks))
-	for i := range c.chunks {
-		ch := &c.chunks[i]
-		feats := make([][]float64, len(idx))
-		for k, j := range idx {
-			feats[k] = ch.Feats[j]
-		}
-		chunks[i] = ColChunk{Start: ch.Start, Rows: ch.Rows, Feats: feats}
+	feats := make([][]float64, len(idx))
+	for k, j := range idx {
+		feats[k] = c.feats[j]
 	}
-	return &Columns{N: c.N, Dim: len(idx), Labels: c.Labels, chunks: chunks}
+	return &Columns{N: c.N, Dim: len(idx), Labels: c.Labels, feats: feats}
 }
 
 // Columns returns the dataset's features column-major: the attached
-// backing when UsableCols accepts it, otherwise a one-chunk backing copied
-// from the rows. A copied backing is not attached, so a dataset that
-// goroutines share is never written. Every near-neighbor and kernel-machine
+// backing when UsableCols accepts it, otherwise a backing copied from the
+// rows. A copied backing is not attached, so a dataset that goroutines
+// share is never written. Every near-neighbor and kernel-machine
 // computation reads features through it. It returns nil for an empty
 // dataset.
 func (d *Dataset) Columns() *Columns {
@@ -135,10 +52,7 @@ func (d *Dataset) Columns() *Columns {
 			feats[j][i] = v
 		}
 	}
-	return &Columns{
-		N: n, Dim: dim, Labels: labels,
-		chunks: []ColChunk{{Start: 0, Rows: n, Feats: feats}},
-	}
+	return &Columns{N: n, Dim: dim, Labels: labels, feats: feats}
 }
 
 // BuildColumns attaches what Columns returns, so later passes over the
@@ -162,16 +76,8 @@ func (n *Norm) ApplyColumnRange(cols *Columns, j, lo, hi int, dst []float64) []f
 		return dst
 	}
 	mn, sc := n.Min[j], n.Scale[j]
-	for ci := range cols.chunks {
-		ch := &cols.chunks[ci]
-		s, e := max(lo, ch.Start), min(hi, ch.Start+ch.Rows)
-		if s >= e {
-			continue
-		}
-		col := ch.Feats[j]
-		for r := s; r < e; r++ {
-			dst[r-lo] = (squash(col[r-ch.Start]) - mn) * sc
-		}
+	for r, raw := range cols.feats[j][lo:hi] {
+		dst[r] = (squash(raw) - mn) * sc
 	}
 	return dst
 }
@@ -187,34 +93,10 @@ func (d *Dataset) UsableCols() *Columns {
 	return nil
 }
 
-// Dim returns the feature dimensionality: the row width when rows are
-// materialized, the column count in column-only (out-of-core) datasets.
+// Dim returns the feature dimensionality: the width of the first row.
 func (d *Dataset) Dim() int {
-	if len(d.Examples) > 0 && d.Examples[0].Features != nil {
-		return len(d.Examples[0].Features)
+	if len(d.Examples) == 0 {
+		return 0
 	}
-	if d.Cols != nil {
-		return d.Cols.Dim
-	}
-	return 0
-}
-
-// ValidateRows is Validate for consumers of feature rows — every trainer's
-// Train, the tree fold session — and refuses a column-only dataset.
-func (d *Dataset) ValidateRows() error {
-	if err := d.Validate(); err != nil {
-		return err
-	}
-	if !d.HasRows() {
-		return fmt.Errorf("ml: training needs materialized feature rows; column-only datasets support NN and kernel-machine LOOCV and NN selection")
-	}
-	return nil
-}
-
-// HasRows reports whether per-example feature rows are materialized.
-// Column-only datasets (opened for out-of-core work) answer false; paths
-// that need row vectors — Train, the fold-based LOOCV fallback — must
-// refuse them with a clear error instead of indexing nil slices.
-func (d *Dataset) HasRows() bool {
-	return d.Len() > 0 && d.Examples[0].Features != nil
+	return len(d.Examples[0].Features)
 }

@@ -116,28 +116,30 @@ func TestSessionPathMatchesSubsetPath(t *testing.T) {
 	}
 }
 
-// TestSelectColumnOnlyMatchesRows runs selection on a column-only copy of
-// a dataset and on its rows: the near-neighbor session, which reads
-// columns, and a decision tree, which scores projections, must each choose
-// the same features with the same errors on both.
-func TestSelectColumnOnlyMatchesRows(t *testing.T) {
+// TestSelectColumnBackedMatchesRows runs selection on a dataset with an
+// attached column backing and on its rows alone: the near-neighbor
+// session, which reads columns, and a decision tree, which scores
+// projections, must each choose the same features with the same errors on
+// both.
+func TestSelectColumnBackedMatchesRows(t *testing.T) {
 	d := mltest.Clusters(90, 6, 4, 0.3, 11)
-	lite := mltest.ColumnOnly(d, 29)
+	backed := mltest.Clusters(90, 6, 4, 0.3, 11)
+	backed.BuildColumns()
 	for name, tr := range map[string]ml.Trainer{"nn": &nn.Trainer{OneNN: true}, "tree": &tree.Trainer{}} {
 		want, err := Select(tr, d, 3)
 		if err != nil {
 			t.Fatalf("%s rows: %v", name, err)
 		}
-		got, err := Select(tr, lite, 3)
+		got, err := Select(tr, backed, 3)
 		if err != nil {
-			t.Fatalf("%s column-only: %v", name, err)
+			t.Fatalf("%s column-backed: %v", name, err)
 		}
 		if len(want) != 3 || len(got) != len(want) {
-			t.Fatalf("%s: %d rounds on rows, %d column-only, want 3", name, len(want), len(got))
+			t.Fatalf("%s: %d rounds on rows, %d column-backed, want 3", name, len(want), len(got))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("%s round %d: column-only %+v, rows %+v", name, i, got[i], want[i])
+				t.Errorf("%s round %d: column-backed %+v, rows %+v", name, i, got[i], want[i])
 			}
 		}
 	}

@@ -36,13 +36,10 @@ type Dataset struct {
 	Examples     []Example
 	FeatureNames []string
 
-	// Cols is an optional column-major backing (possibly aliasing a
-	// memory-mapped columnar store). When present and consistent with the
-	// examples, Columns returns it instead of copying the rows, so
-	// normalization fitting, pairwise distances and the NN/LS-SVM LOOCV
-	// paths read it directly. In out-of-core datasets the examples carry
-	// only metadata (name, label, cycles) and Cols is the sole feature
-	// storage.
+	// Cols is an optional column-major backing. When present and
+	// consistent with the examples, Columns returns it instead of copying
+	// the rows, so normalization fitting, pairwise distances and the
+	// NN/LS-SVM LOOCV paths read it directly.
 	Cols *Columns
 
 	// slab is the flat backing array behind projected feature rows
@@ -54,31 +51,16 @@ type Dataset struct {
 // Len returns the number of examples.
 func (d *Dataset) Len() int { return len(d.Examples) }
 
-// Validate checks labels and dimensions. Column-only datasets (feature rows
-// not materialized, Cols carrying the values) validate labels against the
-// backing's shape instead of per-row widths.
+// Validate checks labels and dimensions: every example carries a label in
+// 1..NumClasses and the same positive number of features.
 func (d *Dataset) Validate() error {
 	if d.Len() == 0 {
 		return fmt.Errorf("ml: empty dataset")
 	}
-	if !d.HasRows() {
-		if d.Cols == nil {
-			return fmt.Errorf("ml: dataset has neither feature rows nor a column backing")
-		}
-		if d.Cols.N != d.Len() {
-			return fmt.Errorf("ml: column backing has %d rows for %d examples", d.Cols.N, d.Len())
-		}
-		if len(d.FeatureNames) != 0 && len(d.FeatureNames) != d.Cols.Dim {
-			return fmt.Errorf("ml: %d feature names for %d feature columns", len(d.FeatureNames), d.Cols.Dim)
-		}
-		for i, e := range d.Examples {
-			if e.Label < 1 || e.Label > NumClasses {
-				return fmt.Errorf("ml: example %d (%s) has label %d", i, e.Name, e.Label)
-			}
-		}
-		return nil
-	}
 	dim := len(d.Examples[0].Features)
+	if dim == 0 {
+		return fmt.Errorf("ml: example 0 (%s) has no features", d.Examples[0].Name)
+	}
 	if len(d.FeatureNames) != 0 && len(d.FeatureNames) != dim {
 		return fmt.Errorf("ml: %d feature names for %d features", len(d.FeatureNames), dim)
 	}
@@ -129,17 +111,12 @@ func (d *Dataset) SelectInto(idx []int, buf *Dataset) *Dataset {
 	}
 	if cols := d.UsableCols(); cols != nil {
 		// Column-backed source: fill the projected slab one source column
-		// at a time — every read is a sequential scan of a contiguous
-		// (possibly memory-mapped) slab, and out-of-core datasets project
-		// without ever materializing full-width rows. Values land in the
-		// same slots the row loop writes, so the result is bit-identical.
+		// at a time, every read a sequential scan of a contiguous slab.
+		// Values land in the same slots the row loop writes, so the result
+		// is bit-identical.
 		for c, j := range idx {
-			for ci := 0; ci < cols.NumChunks(); ci++ {
-				ch := cols.Chunk(ci)
-				base := ch.Start
-				for r, v := range ch.Feats[j] {
-					buf.slab[(base+r)*k+c] = v
-				}
+			for r, v := range cols.feats[j] {
+				buf.slab[r*k+c] = v
 			}
 		}
 		for i := range d.Examples {
@@ -215,7 +192,7 @@ func squash(v float64) float64 {
 }
 
 // FitNorm computes normalization statistics over a dataset's columns
-// (Dataset.Columns): one contiguous sweep per feature, chunks in row order.
+// (Dataset.Columns): one contiguous sweep per feature.
 // A nil backing (an empty dataset) gives an empty normalizer.
 func FitNorm(cols *Columns) *Norm {
 	if cols == nil {
@@ -224,15 +201,13 @@ func FitNorm(cols *Columns) *Norm {
 	n := &Norm{Min: make([]float64, cols.Dim), Scale: make([]float64, cols.Dim)}
 	for j := 0; j < cols.Dim; j++ {
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for ci := 0; ci < cols.NumChunks(); ci++ {
-			for _, raw := range cols.Chunk(ci).Feats[j] {
-				v := squash(raw)
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
+		for _, raw := range cols.feats[j] {
+			v := squash(raw)
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
 			}
 		}
 		n.Min[j] = lo
@@ -257,11 +232,8 @@ func (n *Norm) ApplyColumns(cols *Columns) [][]float64 {
 			continue // ApplyInto zero-fills features past the fitted width
 		}
 		min, scale := n.Min[j], n.Scale[j]
-		for ci := 0; ci < cols.NumChunks(); ci++ {
-			ch := cols.Chunk(ci)
-			for r, raw := range ch.Feats[j] {
-				col[ch.Start+r] = (squash(raw) - min) * scale
-			}
+		for r, raw := range cols.feats[j] {
+			col[r] = (squash(raw) - min) * scale
 		}
 	}
 	return out

@@ -57,37 +57,3 @@ func NoisyLabels(d *ml.Dataset, frac float64, seed int64) *ml.Dataset {
 	}
 	return out
 }
-
-// ColumnOnly strips the feature rows, leaving a column-only dataset of the
-// kind the mmap'd colstore reader serves, backed by chunks of chunkRows
-// rows.
-func ColumnOnly(d *ml.Dataset, chunkRows int) *ml.Dataset {
-	n := d.Len()
-	dim := len(d.Examples[0].Features)
-	var chunks []ml.ColChunk
-	labels := make([]int, 0, n)
-	for s := 0; s < n; s += chunkRows {
-		e := min(s+chunkRows, n)
-		feats := make([][]float64, dim)
-		for j := range feats {
-			feats[j] = make([]float64, e-s)
-			for r := s; r < e; r++ {
-				feats[j][r-s] = d.Examples[r].Features[j]
-			}
-		}
-		chunks = append(chunks, ml.ColChunk{Start: s, Rows: e - s, Feats: feats})
-	}
-	for _, ex := range d.Examples {
-		labels = append(labels, ex.Label)
-	}
-	cols, err := ml.NewColumns(dim, labels, chunks)
-	if err != nil {
-		panic(err) // the chunks tile the rows by construction
-	}
-	lite := &ml.Dataset{FeatureNames: d.FeatureNames, Cols: cols}
-	for _, ex := range d.Examples {
-		ex.Features = nil
-		lite.Examples = append(lite.Examples, ex)
-	}
-	return lite
-}

@@ -3,10 +3,10 @@ package nn
 import "metaopt/internal/ml"
 
 // denseRowsCap mirrors maxDenseRows as a variable so tests can force the
-// blocked out-of-core LOOCV at small n.
+// blocked LOOCV at small n.
 var denseRowsCap = maxDenseRows
 
-// blockRows is the block edge of the out-of-core kernel: queries and
+// blockRows is the block edge of the blocked kernel: queries and
 // database rows are processed blockRows at a time, so the working set is one
 // blockRows² distance tile plus two normalized feature blocks — a few MB —
 // regardless of corpus size.

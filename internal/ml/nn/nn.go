@@ -57,7 +57,7 @@ func (t *Trainer) radius() float64 {
 // Train populates the database. Near-neighbor "training" is just
 // normalization plus storage.
 func (t *Trainer) Train(d *ml.Dataset) (ml.Classifier, error) {
-	if err := d.ValidateRows(); err != nil {
+	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	norm := ml.FitNorm(d.Columns())
@@ -114,9 +114,8 @@ const maxDenseRows = 4096
 // denseRowsCap examples, the lower triangle of pairwise distances is
 // computed once from the normalized columns and mirrored, so each of the n
 // folds votes over one precomputed row. Beyond it the blocked kernel
-// streams the columns in bounded memory, which is what lets a 10×–100×
-// corpus cross-validate from an mmap'd file without the n×n matrix or
-// per-row heap copies.
+// streams the columns in bounded memory, so a 10×–100× corpus
+// cross-validates without the n×n matrix or per-row heap copies.
 func (t *Trainer) LOOCV(d *ml.Dataset) ([]int, error) {
 	if d.Len() < 2 {
 		return nil, fmt.Errorf("nn: LOOCV needs at least 2 examples")

@@ -134,7 +134,7 @@ func (t *LSSVM) Train(d *ml.Dataset) (ml.Classifier, error) {
 
 // train is Train at RBF bandwidth sigma (≤ 0 selects the median heuristic).
 func (t *LSSVM) train(d *ml.Dataset, sigma float64) (ml.Classifier, error) {
-	if err := d.ValidateRows(); err != nil {
+	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	codes := t.Codes.orOneVsRest()

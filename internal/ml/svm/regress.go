@@ -41,7 +41,7 @@ func labelTargets(d *ml.Dataset) []float64 {
 
 // Train fits the regressor to the labels.
 func (t *Regression) Train(d *ml.Dataset) (ml.Classifier, error) {
-	if err := d.ValidateRows(); err != nil {
+	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	sys, err := newSystem(d, t.Gamma, 0, [][]float64{labelTargets(d)})

@@ -49,7 +49,7 @@ var _ ml.Classifier = (*smoModel)(nil)
 // Train fits one binary C-SVM per output-code bit on the RBF kernel with
 // the median-distance bandwidth.
 func (t *SMO) Train(d *ml.Dataset) (ml.Classifier, error) {
-	if err := d.ValidateRows(); err != nil {
+	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	c := t.C

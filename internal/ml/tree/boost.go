@@ -32,7 +32,7 @@ var _ ml.Classifier = (*Ensemble)(nil)
 // Train runs AdaBoost.SAMME: each round fits a weak tree on reweighted
 // examples, upweighting what the ensemble still gets wrong.
 func (b *Boost) Train(d *ml.Dataset) (ml.Classifier, error) {
-	if err := d.ValidateRows(); err != nil {
+	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	rounds := b.Rounds

@@ -41,7 +41,7 @@ type foldSession struct {
 // BeginFolds presorts the full dataset once and hands out a session whose
 // TrainWithout derives each fold from the shared orders.
 func (t *Trainer) BeginFolds(d *ml.Dataset, workers int) (ml.FoldSession, error) {
-	if err := d.ValidateRows(); err != nil {
+	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	n, dim := d.Len(), len(d.Examples[0].Features)

@@ -76,7 +76,7 @@ func depth(n *node) int {
 
 // Train fits the tree with uniform example weights.
 func (t *Trainer) Train(d *ml.Dataset) (ml.Classifier, error) {
-	if err := d.ValidateRows(); err != nil {
+	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	w := make([]float64, d.Len())

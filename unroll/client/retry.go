@@ -67,36 +67,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // request was never sent.
 var ErrCircuitOpen = errors.New("circuit breaker open")
 
-// Backoff exposes the client's full-jitter retry schedule to other
-// subsystems: the distributed labeling worker reuses it for lease polls,
-// heartbeats, and shard uploads instead of growing a second, subtly
-// different backoff implementation. Safe for concurrent use.
-type Backoff struct{ r *retrier }
-
-// NewBackoff builds a schedule from a RetryPolicy (zero fields take the
-// policy's defaults).
-func NewBackoff(p RetryPolicy) *Backoff {
-	p = p.withDefaults()
-	return &Backoff{r: &retrier{policy: p, rng: rand.New(rand.NewSource(p.Seed))}}
-}
-
-// Delay returns the attempt-th (0-based) backoff: uniform in [0,
-// min(MaxDelay, BaseDelay·2ⁿ)], floored by a server hint clamped to
-// MaxRetryAfter.
-func (b *Backoff) Delay(attempt int, hint time.Duration) time.Duration {
-	return b.r.backoff(attempt, hint)
-}
-
-// Sleep blocks for the attempt's backoff, returning early when ctx ends or
-// its deadline would expire mid-sleep.
-func (b *Backoff) Sleep(ctx context.Context, attempt int, hint time.Duration) error {
-	return b.r.sleep(ctx, attempt, hint)
-}
-
-// MaxAttempts reports the policy's total-tries budget, so callers driving
-// their own loops stop where the client would.
-func (b *Backoff) MaxAttempts() int { return b.r.policy.MaxAttempts }
-
 // retrier holds the armed policy plus a locked jitter source (clients are
 // used concurrently).
 type retrier struct {

@@ -250,34 +250,32 @@ func TestBodyDrainKeepsConnectionsReused(t *testing.T) {
 	}
 }
 
-// TestBackoffExportedSchedule pins the exported Backoff helper other
-// subsystems (the dist worker) drive directly: full-jitter delays stay
-// under the growing ceiling, server hints floor the delay, and Sleep
-// honors context cancellation.
-func TestBackoffExportedSchedule(t *testing.T) {
-	bo := NewBackoff(RetryPolicy{
+// TestRetrierBackoffSchedule pins the client's retry schedule: full-jitter
+// delays stay within [0, MaxDelay] however many attempts grow the ceiling,
+// a server hint floors the delay, and the sleep honors context
+// cancellation.
+func TestRetrierBackoffSchedule(t *testing.T) {
+	p := RetryPolicy{
 		MaxAttempts: 5,
 		BaseDelay:   10 * time.Millisecond,
 		MaxDelay:    80 * time.Millisecond,
 		Seed:        42,
-	})
-	if got := bo.MaxAttempts(); got != 5 {
-		t.Fatalf("MaxAttempts = %d, want 5", got)
-	}
+	}.withDefaults()
+	r := &retrier{policy: p, rng: rand.New(rand.NewSource(p.Seed))}
 	for attempt := 0; attempt < 12; attempt++ {
-		d := bo.Delay(attempt, 0)
+		d := r.backoff(attempt, 0)
 		if d < 0 || d > 80*time.Millisecond {
 			t.Fatalf("attempt %d: delay %v outside [0, MaxDelay]", attempt, d)
 		}
 	}
 	// A server hint floors the jittered delay.
-	if d := bo.Delay(0, 50*time.Millisecond); d < 50*time.Millisecond {
+	if d := r.backoff(0, 50*time.Millisecond); d < 50*time.Millisecond {
 		t.Fatalf("hinted delay %v below the 50ms hint", d)
 	}
 	// Cancellation interrupts the sleep.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := bo.Sleep(ctx, 3, time.Minute); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Sleep on cancelled context: %v", err)
+	if err := r.sleep(ctx, 3, time.Minute); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sleep on cancelled context: %v", err)
 	}
 }

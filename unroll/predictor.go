@@ -3,17 +3,14 @@ package unroll
 import (
 	"bufio"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 
-	"metaopt/internal/colstore"
 	"metaopt/internal/core"
 	"metaopt/internal/ml"
 	"metaopt/internal/ml/nn"
@@ -343,9 +340,6 @@ type jsonDataset struct {
 // corpus, so saving a 100× dataset costs the same RSS as a 1× one. The
 // layout is deterministic and LoadDataset-compatible.
 func (d *Dataset) Save(w io.Writer) error {
-	if d.d.Len() > 0 && !d.d.HasRows() {
-		return fmt.Errorf("unroll: JSON save needs materialized feature rows; column-only datasets persist via SaveColumnar")
-	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	names, err := json.Marshal(d.d.FeatureNames)
 	if err != nil {
@@ -378,14 +372,19 @@ func (d *Dataset) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadDataset reads a dataset saved by Save.
+// LoadDataset reads a dataset saved by Save. Every example must carry one
+// measured cycle count per unroll factor.
 func LoadDataset(r io.Reader) (*Dataset, error) {
 	var in jsonDataset
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("unroll: load dataset: %w", err)
 	}
 	d := &ml.Dataset{FeatureNames: in.FeatureNames}
-	for _, je := range in.Examples {
+	for i, je := range in.Examples {
+		if len(je.Cycles) != ml.NumClasses {
+			return nil, fmt.Errorf("unroll: load dataset: example %d (%s/%s) has %d cycle counts, want %d",
+				i, je.Benchmark, je.Name, len(je.Cycles), ml.NumClasses)
+		}
 		e := ml.Example{
 			Name:      je.Name,
 			Benchmark: je.Benchmark,
@@ -395,104 +394,20 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 		copy(e.Cycles[1:], je.Cycles)
 		d.Examples = append(d.Examples, e)
 	}
-	out := &Dataset{d: d}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("unroll: load dataset: %w", err)
 	}
-	return out, nil
+	return &Dataset{d: d}, nil
 }
 
-// SaveColumnar writes the dataset to path in the binary columnar format
-// (internal/colstore): per-feature column slabs behind a CRC-protected
-// footer, written atomically chunk by chunk. Loading it back is a mmap plus
-// a metadata scan — the fast path for 10×–100× corpora. config is free-form
-// provenance recorded (and SHA-256 fingerprinted) in the file header.
-func (d *Dataset) SaveColumnar(path, config string) error {
-	return colstore.WriteDataset(path, d.d, config)
-}
-
-// LoadDatasetFile loads a dataset from path in whichever format it was
-// saved: the binary columnar format is recognized by its magic bytes, and
-// anything else is parsed as the JSON release format. Columnar loads are
-// fully materialized (rows plus a column backing), so the dataset outlives
-// the underlying file.
+// LoadDatasetFile loads a dataset that Save wrote to path.
 func LoadDatasetFile(path string) (*Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("unroll: load dataset: %w", err)
 	}
 	defer f.Close()
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err == nil && string(magic[:]) == "MOCS" {
-		md, err := colstore.Load(path)
-		if err != nil {
-			return nil, fmt.Errorf("unroll: load dataset: %w", err)
-		}
-		if err := md.Validate(); err != nil {
-			return nil, fmt.Errorf("unroll: load dataset: %w", err)
-		}
-		return &Dataset{d: md}, nil
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("unroll: load dataset: %w", err)
-	}
 	return LoadDataset(f)
-}
-
-// OpenDatasetColumnar opens a columnar dataset out of core: feature values
-// are served zero-copy from the mapped file and examples carry metadata
-// only, so cross-validating a 100× corpus needs RSS proportional to the
-// working set, not the corpus. The returned close function releases the
-// mapping; the dataset (and any column views derived from it) must not be
-// used afterwards. Training a serving predictor needs LoadDatasetFile
-// instead.
-func OpenDatasetColumnar(path string) (*Dataset, func() error, error) {
-	r, err := colstore.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("unroll: open dataset: %w", err)
-	}
-	md := r.Dataset()
-	if err := md.Validate(); err != nil {
-		r.Close()
-		return nil, nil, fmt.Errorf("unroll: open dataset: %w", err)
-	}
-	return &Dataset{d: md}, r.Close, nil
-}
-
-// SaveCSV writes the dataset as CSV: one row per loop with its benchmark,
-// every feature, the measured cycles at each factor, and the label. This is
-// the flat "raw loop data" format for external analysis tools.
-func (d *Dataset) SaveCSV(w io.Writer) error {
-	if d.d.Len() > 0 && !d.d.HasRows() {
-		return fmt.Errorf("unroll: CSV save needs materialized feature rows; column-only datasets persist via SaveColumnar")
-	}
-	cw := csv.NewWriter(w)
-	header := []string{"benchmark", "loop"}
-	header = append(header, d.d.FeatureNames...)
-	for u := 1; u <= ml.NumClasses; u++ {
-		header = append(header, fmt.Sprintf("cycles_u%d", u))
-	}
-	header = append(header, "label")
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	row := make([]string, 0, len(header))
-	for _, e := range d.d.Examples {
-		row = row[:0]
-		row = append(row, e.Benchmark, e.Name)
-		for _, f := range e.Features {
-			row = append(row, strconv.FormatFloat(f, 'g', -1, 64))
-		}
-		for u := 1; u <= ml.NumClasses; u++ {
-			row = append(row, strconv.FormatInt(e.Cycles[u], 10))
-		}
-		row = append(row, strconv.Itoa(e.Label))
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Evaluation is a Table-2-style report for one algorithm on one dataset:

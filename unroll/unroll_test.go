@@ -2,6 +2,8 @@ package unroll_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -213,9 +215,22 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	if err := d.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := unroll.LoadDataset(&buf)
+	path := filepath.Join(t.TempDir(), "dataset.json")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := unroll.LoadDatasetFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The loaded dataset saves back to the same bytes: names, labels,
+	// cycles and every feature bit survive the JSON format.
+	var again bytes.Buffer
+	if err := d2.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatal("JSON round trip changed the dataset")
 	}
 	if d2.Len() != d.Len() {
 		t.Fatalf("round trip: %d vs %d", d2.Len(), d.Len())
@@ -236,8 +251,32 @@ func TestLoadDatasetRejectsGarbage(t *testing.T) {
 	if _, err := unroll.LoadDataset(bytes.NewBufferString("{not json")); err == nil {
 		t.Error("expected decode error")
 	}
-	if _, err := unroll.LoadDataset(bytes.NewBufferString(`{"examples":[{"label":99,"features":[1]}]}`)); err == nil {
-		t.Error("expected validation error")
+	const eight = `[9,8,7,6,5,4,3,2]`
+	for _, bad := range []string{
+		`{"examples":[{"label":99,"features":[1],"cycles":` + eight + `}]}`,
+		`{"examples":[{"label":1,"cycles":` + eight + `}]}`,
+	} {
+		if _, err := unroll.LoadDataset(bytes.NewBufferString(bad)); err == nil {
+			t.Errorf("expected validation error for %s", bad)
+		}
+	}
+	// Every example carries one cycle count per unroll factor: a short
+	// list would leave zero cycles behind, a long one would be cut.
+	for name, cycles := range map[string]string{
+		"missing": ``,
+		"empty":   `,"cycles":[]`,
+		"short":   `,"cycles":[9,8,7]`,
+		"long":    `,"cycles":[9,8,7,6,5,4,3,2,1,1,1]`,
+	} {
+		src := `{"examples":[` +
+			`{"name":"a","benchmark":"b","label":1,"features":[1],"cycles":` + eight + `},` +
+			`{"name":"L007","benchmark":"swim","label":1,"features":[2]` + cycles + `}]}`
+		_, err := unroll.LoadDataset(bytes.NewBufferString(src))
+		if err == nil {
+			t.Errorf("%s cycles: loaded without error", name)
+		} else if !strings.Contains(err.Error(), "swim/L007") {
+			t.Errorf("%s cycles: error %q does not name the example", name, err)
+		}
 	}
 }
 
@@ -249,31 +288,6 @@ func TestRegressionBeatsChance(t *testing.T) {
 	}
 	if acc < 0.2 {
 		t.Errorf("regression LOOCV accuracy = %v", acc)
-	}
-}
-
-func TestSaveCSV(t *testing.T) {
-	d := smallDataset(t)
-	var buf bytes.Buffer
-	if err := d.SaveCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != d.Len()+1 {
-		t.Fatalf("csv rows = %d, want %d", len(lines), d.Len()+1)
-	}
-	header := strings.Split(lines[0], ",")
-	// benchmark + loop + 38 features + 8 cycle columns + label.
-	if len(header) != 2+unroll.NumFeatures+8+1 {
-		t.Fatalf("csv columns = %d", len(header))
-	}
-	if header[0] != "benchmark" || header[len(header)-1] != "label" {
-		t.Errorf("csv header = %v...%v", header[0], header[len(header)-1])
-	}
-	for _, line := range lines[1:3] {
-		if len(strings.Split(line, ",")) != len(header) {
-			t.Fatal("ragged csv row")
-		}
 	}
 }
 
