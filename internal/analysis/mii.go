@@ -10,11 +10,15 @@ import (
 // global issue width. Keeping it rational is what exposes fractional-II
 // opportunities — the reason unrolling helps a software-pipelined loop.
 func (g *Graph) ResMII() (num, den int) {
+	return ResMIIOf(g.Ops, g.Mach)
+}
+
+// ResMIIOf is the resource bound of a body's ops on m. It reads only the
+// op list, so a caller that needs no dependence edges builds no graph.
+func ResMIIOf(ops []*ir.Op, m *machine.Desc) (num, den int) {
 	var perUnit [machine.NumUnitKinds]int
-	blocked := 0
-	for _, op := range g.Ops {
-		perUnit[g.Mach.UnitFor(op.Code)] += g.Mach.BlockCycles(op.Code)
-		blocked++
+	for _, op := range ops {
+		perUnit[m.UnitFor(op.Code)] += m.BlockCycles(op.Code)
 	}
 	num, den = 0, 1
 	consider := func(n, d int) {
@@ -23,9 +27,9 @@ func (g *Graph) ResMII() (num, den int) {
 		}
 	}
 	for k, cnt := range perUnit {
-		consider(cnt, g.Mach.Units[k])
+		consider(cnt, m.Units[k])
 	}
-	consider(blocked, g.Mach.IssueWidth)
+	consider(len(ops), m.IssueWidth)
 	if num == 0 {
 		num, den = 1, 1
 	}

@@ -243,7 +243,7 @@ func reconstitute(b *loopgen.Benchmark, t *sim.Timer, recs []LoopRecord) ([]*Loo
 		}
 		ll := &LoopLabel{Loop: l, Benchmark: b.Name}
 		copy(ll.Cycles[:], r.Cycles)
-		ll.Best = bestFactor(ll.Cycles)
+		ll.Best = BestFactor(ll.Cycles)
 		ll.Usable = ll.Cycles[1] >= t.Cfg.MinCycles
 		ll.Kept = ll.Usable && passesFilter(ll.Cycles)
 		out = append(out, ll)

@@ -77,7 +77,7 @@ func labelBenchmark(b *loopgen.Benchmark, t *sim.Timer, seed int64, errOut *erro
 			Loop:      l,
 			Benchmark: b.Name,
 			Cycles:    cycles,
-			Best:      bestFactor(cycles),
+			Best:      BestFactor(cycles),
 			Usable:    usable,
 			Kept:      usable && passesFilter(cycles),
 		})
@@ -85,7 +85,9 @@ func labelBenchmark(b *loopgen.Benchmark, t *sim.Timer, seed int64, errOut *erro
 	return out
 }
 
-func bestFactor(cycles [transform.MaxFactor + 1]int64) int {
+// BestFactor returns a cycle vector's label: the factor with the fewest
+// cycles, the smallest such factor on a tie.
+func BestFactor(cycles [transform.MaxFactor + 1]int64) int {
 	best := 1
 	for u := 2; u <= transform.MaxFactor; u++ {
 		if cycles[u] < cycles[best] {
@@ -103,7 +105,7 @@ func passesFilter(cycles [transform.MaxFactor + 1]int64) bool {
 		sum += float64(cycles[u])
 	}
 	avg := sum / transform.MaxFactor
-	best := float64(cycles[bestFactor(cycles)])
+	best := float64(cycles[BestFactor(cycles)])
 	return best > 0 && avg/best >= FilterRatio
 }
 

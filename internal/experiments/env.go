@@ -33,8 +33,8 @@ func DefaultConfig() Config {
 }
 
 // Env lazily builds and caches the shared state the experiments need:
-// corpus, per-mode timers and labels, the training dataset and the selected
-// feature set.
+// corpus, the pair of per-mode timers, per-mode labels, the training
+// dataset and the selected feature set.
 type Env struct {
 	Cfg Config
 
@@ -73,21 +73,16 @@ func (e *Env) Corpus() (*loopgen.Corpus, error) {
 	return e.corpus, nil
 }
 
-// Timer returns the cached timer for the pipelining mode.
+// Timer returns the cached timer for the pipelining mode. The two modes'
+// timers are a pair, so the first labeling compiles the corpus for both.
 func (e *Env) Timer(swpOn bool) *sim.Timer {
-	if swpOn {
-		if e.timerOn == nil {
-			cfg := sim.DefaultConfig()
-			cfg.SWP = true
-			cfg.Runs = e.Cfg.Runs
-			e.timerOn = sim.NewTimer(cfg)
-		}
-		return e.timerOn
-	}
 	if e.timerOff == nil {
 		cfg := sim.DefaultConfig()
 		cfg.Runs = e.Cfg.Runs
-		e.timerOff = sim.NewTimer(cfg)
+		e.timerOff, e.timerOn = sim.NewTimerPair(cfg)
+	}
+	if swpOn {
+		return e.timerOn
 	}
 	return e.timerOff
 }

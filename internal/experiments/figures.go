@@ -10,6 +10,7 @@ import (
 	"metaopt/internal/ml/lda"
 	"metaopt/internal/ml/nn"
 	"metaopt/internal/ml/svm"
+	"metaopt/internal/par"
 	"metaopt/internal/transform"
 )
 
@@ -193,25 +194,42 @@ func Figure2(e *Env) (*Figure2Result, error) {
 	}
 
 	r := &Figure2Result{}
-	hits := 0
 	for i, e2 := range flat.Examples {
 		r.Points = append(r.Points, [2]float64{pts[i][0], pts[i][1]})
 		r.Unroll = append(r.Unroll, e2.Label != 1)
-		if c.Predict(e2.Features) == e2.Label {
+	}
+
+	// Predict every training point, then every cell of the decision-region
+	// grid over the bounding box, across the pool, each into its own slot.
+	minX, maxX, minY, maxY := bounds(r.Points)
+	const w, h = 64, 20
+	n := flat.Len()
+	preds := make([]int, n+w*h)
+	err = par.ForEach(len(preds), func(i int) error {
+		if i < n {
+			preds[i] = c.Predict(flat.Examples[i].Features)
+			return nil
+		}
+		row, col := (i-n)/w, (i-n)%w
+		y := maxY - (maxY-minY)*float64(row)/float64(h-1)
+		x := minX + (maxX-minX)*float64(col)/float64(w-1)
+		preds[i] = c.Predict([]float64{x, y})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	hits := 0
+	for i, e2 := range flat.Examples {
+		if preds[i] == e2.Label {
 			hits++
 		}
 	}
-	r.Accuracy = float64(hits) / float64(flat.Len())
-
-	// Decision-region grid over the bounding box.
-	minX, maxX, minY, maxY := bounds(r.Points)
-	const w, h = 64, 20
-	for row := 0; row < h; row++ {
+	r.Accuracy = float64(hits) / float64(n)
+	for cells := preds[n:]; len(cells) > 0; cells = cells[w:] {
 		line := make([]byte, w)
-		y := maxY - (maxY-minY)*float64(row)/float64(h-1)
-		for col := 0; col < w; col++ {
-			x := minX + (maxX-minX)*float64(col)/float64(w-1)
-			if c.Predict([]float64{x, y}) != 1 {
+		for col, p := range cells[:w] {
+			if p != 1 {
 				line[col] = '#'
 			} else {
 				line[col] = '.'

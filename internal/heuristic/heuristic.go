@@ -6,6 +6,8 @@
 package heuristic
 
 import (
+	"slices"
+
 	"metaopt/internal/analysis"
 	"metaopt/internal/ir"
 	"metaopt/internal/machine"
@@ -69,8 +71,7 @@ func SWP(l *ir.Loop, m *machine.Desc) int {
 		if err != nil {
 			return 1e18
 		}
-		g := analysis.Build(body, m)
-		resN, resD := g.ResMII()
+		resN, resD := analysis.ResMIIOf(body.Body, m)
 		ii := ceilDiv(resN, resD)
 		if recD > 0 {
 			if r := ceilDiv(u*recN, recD); r > ii {
@@ -100,17 +101,16 @@ func SWP(l *ir.Loop, m *machine.Desc) int {
 		s += fixed / float64(trip)
 		return s
 	}
-	best := score(1)
-	for u := 2; u <= transform.MaxFactor; u++ {
-		if s := score(u); s < best {
-			best = s
-		}
+	var scores [transform.MaxFactor + 1]float64
+	for u := 1; u <= transform.MaxFactor; u++ {
+		scores[u] = score(u)
 	}
+	best := slices.Min(scores[1:])
 	// Years of tuning taught ORC that unrolling a pipelined loop pays only
 	// when the initiation-interval ratio genuinely improves: take the
 	// SMALLEST factor within a whisker of the best achievable ratio.
 	for u := 1; u <= transform.MaxFactor; u++ {
-		if score(u) <= best*1.04+1e-9 {
+		if scores[u] <= best*1.04+1e-9 {
 			return u
 		}
 	}

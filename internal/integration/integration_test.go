@@ -79,32 +79,65 @@ func TestListSchedulesVerify(t *testing.T) {
 	}
 }
 
+// TestModuloSchedulesVerify pipelines every loop that can pipeline at
+// every factor on two machines, from the II estimate the simulator starts
+// its search at: every schedule must verify, and its II must respect the
+// unrolled body's resource bound and the smallest II its recurrences
+// admit, wherever the search started.
 func TestModuloSchedulesVerify(t *testing.T) {
-	m := machine.Itanium2()
-	for _, l := range loops(t, 23) {
-		if l.EarlyExit || hasCall(l) {
-			continue // the pipeliner refuses these, as ORC does
-		}
-		for _, u := range []int{1, 2, 4} {
-			out, _, err := transform.Unroll(l, u)
-			if err != nil {
-				t.Fatal(err)
+	for _, m := range []*machine.Desc{machine.Itanium2(), machine.Embedded()} {
+		for _, l := range loops(t, 23) {
+			if l.EarlyExit || hasCall(l) {
+				continue // the pipeliner refuses these, as ORC does
 			}
-			g := analysis.Build(out, m)
-			r, err := swp.Schedule(g, g.MII())
-			if err != nil {
-				t.Fatalf("%s/%s u=%d: %v", l.Benchmark, l.Name, u, err)
-			}
-			if err := r.Verify(g); err != nil {
-				t.Fatalf("%s/%s u=%d: %v", l.Benchmark, l.Name, u, err)
-			}
-			// The achieved II respects the resource bound.
-			rn, rd := g.ResMII()
-			if r.II*rd < rn {
-				t.Fatalf("%s u=%d: II %d beats ResMII %d/%d", l.Name, u, r.II, rn, rd)
+			rn, rd := analysis.Build(l.Clone(), m).RecurrenceRatioExcluding(isIVUpdate)
+			for u := 1; u <= transform.MaxFactor; u++ {
+				out, _, err := transform.Unroll(l, u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g := analysis.Build(out, m)
+				mii := pipelineMII(g, u, rn, rd)
+				r, err := swp.Schedule(g, mii)
+				if err != nil {
+					t.Fatalf("%s: %s/%s u=%d: %v", m.Name, l.Benchmark, l.Name, u, err)
+				}
+				if err := r.Verify(g); err != nil {
+					t.Fatalf("%s: %s/%s u=%d: %v", m.Name, l.Benchmark, l.Name, u, err)
+				}
+				if num, den := g.ResMII(); r.II < (num+den-1)/den {
+					t.Fatalf("%s: %s/%s u=%d: II %d beats ResMII %d/%d", m.Name, l.Benchmark, l.Name, u, r.II, num, den)
+				}
+				if rec := g.MinFeasibleII(1, 4*mii+65); r.II < rec {
+					t.Fatalf("%s: %s/%s u=%d: II %d beats the recurrence bound %d", m.Name, l.Benchmark, l.Name, u, r.II, rec)
+				}
 			}
 		}
 	}
+}
+
+// pipelineMII restates the simulator's modulo-scheduling start: the
+// resource bound, or the rolled body's recurrence ratio (less the
+// induction update) scaled by u.
+func pipelineMII(g *analysis.Graph, u, rn, rd int) int {
+	num, den := g.ResMII()
+	mii := (num + den - 1) / den
+	if rd > 0 && rn > 0 {
+		mii = max(mii, (u*rn+rd-1)/rd)
+	}
+	return max(mii, 1)
+}
+
+func isIVUpdate(op *ir.Op) bool {
+	if op.Code != ir.OpAdd {
+		return false
+	}
+	for _, a := range op.Args {
+		if a.Op == op && a.Dist == 1 {
+			return true
+		}
+	}
+	return false
 }
 
 func TestSimulatorConsistency(t *testing.T) {

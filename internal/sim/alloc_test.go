@@ -6,18 +6,19 @@ import (
 	"metaopt/internal/transform"
 )
 
-// TestCompileAllocCeiling pins a warm compile's allocations: the cached
-// result, the unroller's Info and the schedule (a list schedule and its
-// cycles, or a modulo schedule and its cycles). The unrolled loop, its
-// graph and its register allocation come from the workspace pool, so a
-// new map or per-op allocation on the compile path fails here.
+// TestCompileAllocCeiling pins a warm compile's allocations: the
+// unroller's Info and a modulo schedule and its cycles. The unrolled loop,
+// its graph, its list schedule and its register allocation come from the
+// workspace pool and the prices are stored in the loop record, so a new
+// map or per-op allocation on the compile path fails here. A compile for a
+// pair prices both modes, under the same ceiling.
 func TestCompileAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled workspaces")
 	}
 	const ceiling = 4
-	for _, swpOn := range []bool{false, true} {
-		tm := exactTimer(swpOn)
+	pairOff, _ := NewTimerPair(exactTimer(false).Cfg)
+	for _, tm := range []*Timer{exactTimer(false), exactTimer(true), pairOff} {
 		for _, src := range reuseKernels {
 			l := loop(t, src)
 			rec := tm.record(l)
@@ -25,14 +26,17 @@ func TestCompileAllocCeiling(t *testing.T) {
 				compile := func() {
 					rec.mu.Lock()
 					defer rec.mu.Unlock()
-					if _, err := tm.compileLoop(l, u, rec); err != nil {
+					for slot := range rec.compiles {
+						rec.compiles[slot][u] = compiled{}
+					}
+					if err := tm.compileLoop(l, u, rec); err != nil {
 						t.Fatal(err)
 					}
 				}
 				compile()
 				if allocs := testing.AllocsPerRun(50, compile); allocs > ceiling {
-					t.Errorf("swp=%v %s u=%d: a warm compile allocates %v times, want at most %d",
-						swpOn, l.Name, u, allocs, ceiling)
+					t.Errorf("modes %v %s u=%d: a warm compile allocates %v times, want at most %d",
+						tm.recs.modes, l.Name, u, allocs, ceiling)
 				}
 			}
 		}

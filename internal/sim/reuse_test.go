@@ -34,11 +34,15 @@ kernel search lang=c {
 // twice: through one Timer, whose loop record shares validation, the
 // rolled-body recurrence analysis and the remainder price across factors
 // (the production path), and through a fresh Timer per call, which
-// computes all of them for that factor alone. Cycle counts and compile
+// computes all of them for that factor alone. The shared Timer is a lone
+// one, then one of a pair, whose record also shares the unrolled body,
+// its graph and its list schedule across modes. Cycle counts and compile
 // stats must match exactly.
 func TestCompileReuseBitIdentical(t *testing.T) {
-	for _, swpOn := range []bool{false, true} {
-		tm := exactTimer(swpOn)
+	var pair [2]*Timer
+	pair[0], pair[1] = NewTimerPair(exactTimer(false).Cfg)
+	for i, tm := range []*Timer{exactTimer(false), exactTimer(true), pair[0], pair[1]} {
+		swpOn := i%2 == 1
 		for _, src := range reuseKernels {
 			l := loop(t, src)
 			for u := 1; u <= transform.MaxFactor; u++ {

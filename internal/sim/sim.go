@@ -22,9 +22,10 @@ import (
 	"metaopt/internal/transform"
 )
 
-// Compile and measurement telemetry. A Timer compiles each (loop, unroll)
-// pair at most once, so misses count the distinct pairs compiled and hits
-// count every other lookup, however the workers interleave.
+// Compile and measurement telemetry. A Timer prices each (loop, unroll)
+// pair at most once, so misses count the (loop, unroll, mode) prices
+// computed and hits count every other lookup, however the workers
+// interleave.
 var (
 	mCompileHits   = obs.C("sim.compile_cache.hits")
 	mCompileMisses = obs.C("sim.compile_cache.misses")
@@ -97,21 +98,33 @@ type CompileStats struct {
 // collection and the speedup folds re-time the same (loop, unroll) pairs
 // many times. A Timer is safe for concurrent use, so the whole evaluation
 // pipeline shares one Timer (and one compilation of the corpus) across the
-// worker pool. Cfg must not change once the Timer is in use.
+// worker pool. The two Timers of a pair (NewTimerPair) share their records
+// too, so one compile prices a (loop, unroll) pair in both SWP modes. Cfg
+// must not change once the Timer is made.
 type Timer struct {
 	Cfg *Config
+
+	recs *records
+	slot int // this Timer's mode in recs.modes and in each record
+}
+
+// records holds the loop records of one Timer, or of both Timers of a
+// pair, and the SWP mode of each record slot: the Timer's own mode, or
+// off and on.
+type records struct {
+	modes []bool
 
 	mu    sync.Mutex
 	loops map[*ir.Loop]*loopRecord
 }
 
-// loopRecord is what a Timer knows about one loop, filled in on demand:
+// loopRecord is what its Timers know about one loop, filled in on demand:
 // the input validation, the rolled body's recurrence ratio and remainder
-// cost, which every factor shares, and the compile at each factor. mu is
-// held while a missing part is computed, so concurrent callers wait for
-// that one computation instead of repeating it. A compile that fails or
-// panics stores nothing; a validation error is stored, since the loop is
-// invalid at every factor.
+// cost, which every factor and mode shares, and the price at each factor
+// in each mode. mu is held while a missing part is computed, so concurrent
+// callers wait for that one computation instead of repeating it. A mode
+// whose compile fails or panics stores nothing; a validation error is
+// stored, since the loop is invalid at every factor.
 type loopRecord struct {
 	mu sync.Mutex
 
@@ -124,17 +137,33 @@ type loopRecord struct {
 	hasRemainder bool
 	remainder    float64
 
-	compiles [transform.MaxFactor + 1]*compiled
+	compiles [][transform.MaxFactor + 1]compiled // by mode slot, then factor
 }
 
 type compiled struct {
 	perEntry float64 // cycles per loop entry, deterministic
 	stats    CompileStats
+	done     bool
 }
 
 // NewTimer returns a Timer for the given configuration.
 func NewTimer(cfg *Config) *Timer {
-	return &Timer{Cfg: cfg, loops: map[*ir.Loop]*loopRecord{}}
+	return &Timer{Cfg: cfg, recs: newRecords(cfg.SWP)}
+}
+
+// NewTimerPair returns two Timers for cfg, one with software pipelining off
+// and one with it on, that share one record per loop: the first lookup of
+// a (loop, unroll) pair on either Timer unrolls the loop and builds its
+// dependence graph once, and prices both modes from them.
+func NewTimerPair(cfg *Config) (off, on *Timer) {
+	recs := newRecords(false, true)
+	offCfg, onCfg := *cfg, *cfg
+	offCfg.SWP, onCfg.SWP = false, true
+	return &Timer{Cfg: &offCfg, recs: recs}, &Timer{Cfg: &onCfg, recs: recs, slot: 1}
+}
+
+func newRecords(modes ...bool) *records {
+	return &records{modes: modes, loops: map[*ir.Loop]*loopRecord{}}
 }
 
 // Cycles returns the deterministic total cycles loop l consumes per program
@@ -158,35 +187,36 @@ func (t *Timer) Stats(l *ir.Loop, u int) (CompileStats, error) {
 
 // record returns l's record, creating it on first sight of the loop.
 func (t *Timer) record(l *ir.Loop) *loopRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r, ok := t.loops[l]
+	rs := t.recs
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	r, ok := rs.loops[l]
 	if !ok {
-		r = &loopRecord{}
-		t.loops[l] = r
+		r = &loopRecord{compiles: make([][transform.MaxFactor + 1]compiled, len(rs.modes))}
+		rs.loops[l] = r
 	}
 	return r
 }
 
-// compile returns the compilation of (l, u), compiling it on first use.
-func (t *Timer) compile(l *ir.Loop, u int) (*compiled, error) {
+// compile returns the price of (l, u) in t's mode, compiling it on first
+// use.
+func (t *Timer) compile(l *ir.Loop, u int) (compiled, error) {
 	if u < 1 || u > transform.MaxFactor {
-		return nil, fmt.Errorf("sim: unroll factor %d out of range [1,%d]", u, transform.MaxFactor)
+		return compiled{}, fmt.Errorf("sim: unroll factor %d out of range [1,%d]", u, transform.MaxFactor)
 	}
 	rec := t.record(l)
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if c := rec.compiles[u]; c != nil {
+	c := &rec.compiles[t.slot][u]
+	if c.done {
 		mCompileHits.Inc()
-		return c, nil
+		return *c, nil
 	}
-	c, err := t.compileLoop(l, u, rec)
-	if err != nil {
-		return nil, err
+	// An error may come from another mode only once this one is priced.
+	if err := t.compileLoop(l, u, rec); err != nil && !c.done {
+		return compiled{}, err
 	}
-	rec.compiles[u] = c
-	mCompileMisses.Inc()
-	return c, nil
+	return *c, nil
 }
 
 // validate runs l.Validate once per loop, whatever factor asks first.
@@ -216,13 +246,16 @@ func (r *loopRecord) recurrence(l *ir.Loop, m *machine.Desc) (rn, rd int) {
 }
 
 // workspace is what one compile builds and discards: the unrolled loop,
-// its dependence graph and its register allocation. Workspaces are pooled
-// across (loop, u) compiles, as sched and swp pool their scratch: a compile
-// rebuilds one in place and returns it once the variant is priced, since
-// nothing the compile returns or caches refers into it.
+// its dependence graph, its list schedule and the scheduler's scratch, and
+// its register allocation. Workspaces are pooled across (loop, u)
+// compiles, as swp pools its scratch: a compile rebuilds one in place and
+// returns it once the variant is priced, since nothing the compile returns
+// or caches refers into it.
 type workspace struct {
 	loop  ir.Loop
 	graph analysis.Graph
+	sched sched.Scheduler
+	list  sched.Schedule
 	alloc regalloc.Result
 }
 
@@ -246,33 +279,61 @@ func (w *workspace) release() {
 	workspacePool.Put(w)
 }
 
-// compileLoop builds the unrolled variant of l at factor u and prices one
-// loop entry, taking the loop-level parts from rec. The caller holds
-// rec.mu.
-func (t *Timer) compileLoop(l *ir.Loop, u int, rec *loopRecord) (*compiled, error) {
-	cfg := t.Cfg
+// compileLoop builds the unrolled variant of l at factor u once and prices
+// one loop entry in every mode of rec not yet priced at u, taking the
+// loop-level parts from rec. Software pipelining on prices a body with an
+// early exit or a call as list scheduling does, so such a body is
+// scheduled once for both modes. A mode that fails stores nothing and
+// leaves the modes before it priced. The caller holds rec.mu.
+func (t *Timer) compileLoop(l *ir.Loop, u int, rec *loopRecord) error {
 	if err := rec.validate(l); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+		return fmt.Errorf("sim: %w", err)
 	}
 	w, err := t.unroll(l, u)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer w.release()
-	unrolled, g, m := &w.loop, &w.graph, cfg.Mach
+	canPipeline := !w.loop.EarlyExit && !hasCalls(&w.loop)
+	var list compiled // the unpipelined price, shared by every mode that uses it
+	for slot, swpOn := range t.recs.modes {
+		c := &rec.compiles[slot][u]
+		if c.done {
+			continue
+		}
+		if swpOn && canPipeline {
+			*c, err = t.price(l, u, w, rec, true)
+		} else {
+			if !list.done {
+				list, err = t.price(l, u, w, rec, false)
+			}
+			*c = list
+		}
+		if err != nil {
+			return err
+		}
+		mCompileMisses.Inc()
+	}
+	return nil
+}
 
-	usePipeline := cfg.SWP && !unrolled.EarlyExit && !hasCalls(unrolled)
+// price schedules the unrolled body in w, modulo scheduled when pipelined
+// holds and list scheduled otherwise, and prices one loop entry. The
+// caller holds rec.mu.
+func (t *Timer) price(l *ir.Loop, u int, w *workspace, rec *loopRecord, pipelined bool) (compiled, error) {
+	cfg := t.Cfg
+	unrolled, g, m := &w.loop, &w.graph, cfg.Mach
 
 	var bodyCycles float64 // steady-state cycles per unrolled body
 	var fillDrain float64  // per-entry pipeline fill/drain
 	stats := CompileStats{Unroll: u, BodyOps: len(unrolled.Body)}
 
 	mSchedules.Inc()
-	if usePipeline {
+	if pipelined {
 		mii := pipelineMII(l, g, u, rec, m)
 		r, err := swp.Schedule(g, mii)
 		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
+			return compiled{}, fmt.Errorf("sim: %w", err)
 		}
 		bodyCycles = float64(r.II + r.SpillCycles)
 		fillDrain = float64(2 * (r.Stages - 1) * r.II)
@@ -283,7 +344,7 @@ func (t *Timer) compileLoop(l *ir.Loop, u int, rec *loopRecord) (*compiled, erro
 		// Kernel plus prologue/epilogue code.
 		stats.CodeBytes = m.CodeBytes(len(unrolled.Body) * (1 + r.Stages))
 	} else {
-		s := sched.List(g)
+		s := w.sched.ListInto(g, &w.list)
 		ra := regalloc.RunInto(&w.alloc, s)
 		bodyCycles = float64(s.Period + ra.SpillCycles)
 		stats.SpillCycles = ra.SpillCycles
@@ -349,7 +410,7 @@ func (t *Timer) compileLoop(l *ir.Loop, u int, rec *loopRecord) (*compiled, erro
 		if rem > 0 {
 			remCycles, err := t.rolledRemainder(l, rec)
 			if err != nil {
-				return nil, err
+				return compiled{}, err
 			}
 			perEntry += float64(rem)*remCycles + 2 // re-dispatch into the tail loop
 		}
@@ -360,14 +421,14 @@ func (t *Timer) compileLoop(l *ir.Loop, u int, rec *loopRecord) (*compiled, erro
 	perEntry += coldPenalty
 
 	stats.Period = perEntry / float64(trip)
-	return &compiled{perEntry: perEntry, stats: stats}, nil
+	return compiled{perEntry: perEntry, stats: stats, done: true}, nil
 }
 
 // rolledRemainder prices one iteration of the rolled loop (used for the
 // tail of a trip count not divisible by the unroll factor). Remainder
 // iterations always run unpipelined. The price is kept in rec: the same
-// rolled tail serves every unroll factor 2..8, so pricing it once removes
-// seven redundant unroll+analysis+schedule+regalloc passes per loop. The
+// rolled tail serves every unroll factor 2..8 in both modes, so pricing it
+// once removes the redundant unroll+analysis+schedule+regalloc passes. The
 // caller holds rec.mu and has validated l.
 func (t *Timer) rolledRemainder(l *ir.Loop, rec *loopRecord) (float64, error) {
 	if rec.hasRemainder {
@@ -378,7 +439,7 @@ func (t *Timer) rolledRemainder(l *ir.Loop, rec *loopRecord) (float64, error) {
 		return 0, err
 	}
 	defer w.release()
-	s := sched.List(&w.graph)
+	s := w.sched.ListInto(&w.graph, &w.list)
 	ra := regalloc.RunInto(&w.alloc, s)
 	mSchedules.Inc()
 	rec.remainder, rec.hasRemainder = float64(s.Period+ra.SpillCycles), true

@@ -229,14 +229,16 @@ func searchSample(t *testing.T, m *machine.Desc) []searchCase {
 }
 
 // TestScheduleMatchesParentSearch pins Schedule — the recurrence jump, the
-// slot-occupant eviction and the once-per-call priority — to the reference
-// search: the same Result and the same error on every case of the sample.
+// register-bound skip, the slot-occupant eviction and the once-per-call
+// priority — to the reference search: the same Result and the same error
+// on every case of the sample.
 func TestScheduleMatchesParentSearch(t *testing.T) {
 	for _, m := range searchMachines {
 		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
 			cases := searchSample(t, m)
-			jumped := 0
+			st := new(state)
+			jumped, skipped := 0, 0
 			for _, c := range cases {
 				want, wantErr := refSchedule(c.g, c.mii)
 				got, gotErr := Schedule(c.g, c.mii)
@@ -246,11 +248,68 @@ func TestScheduleMatchesParentSearch(t *testing.T) {
 				if c.g.MinFeasibleII(c.mii, 4*c.mii+65) > c.mii+1 {
 					jumped++
 				}
+				if spillFreeII(c.g, st, c.mii, c.mii+8) > c.mii {
+					skipped++
+				}
 			}
 			if jumped == 0 {
 				t.Fatal("no case starts below its recurrence bound; the sample does not exercise the jump")
 			}
-			t.Logf("%d schedules match, %d start below the recurrence bound", len(cases), jumped)
+			if skipped == 0 {
+				t.Fatal("no case starts below its register bound; the sample does not exercise the skip")
+			}
+			t.Logf("%d schedules match, %d start below the recurrence bound, %d below the register bound",
+				len(cases), jumped, skipped)
+		})
+	}
+}
+
+// TestSpillBoundIsSound checks the premise of the register-bound skip on
+// the same sample: at every II below the one spillFreeII returns, each
+// schedule tryII accepts spills, and its register demand is at least the
+// bound.
+func TestSpillBoundIsSound(t *testing.T) {
+	for _, m := range searchMachines {
+		t.Run(m.Name, func(t *testing.T) {
+			t.Parallel()
+			st := new(state)
+			ruledOut, scheduled := 0, 0
+			for _, c := range searchSample(t, m) {
+				prioritize(c.g, st)
+				start := spillFreeII(c.g, st, c.mii, c.mii+8)
+				paramsFP, paramsInt := 0, 0
+				for _, p := range c.g.Loop.Params {
+					if p.Code != ir.OpParam {
+						continue
+					}
+					if p.FP {
+						paramsFP++
+					} else {
+						paramsInt++
+					}
+				}
+				for ii := c.mii; ii < start; ii++ {
+					ruledOut++
+					cycles, ok := tryII(c.g, ii, st)
+					if !ok {
+						continue
+					}
+					scheduled++
+					res := finish(c.g, ii, cycles)
+					if res.SpillCycles == 0 {
+						t.Fatalf("%s: the register bound rules out II %d, but its schedule needs %d FP and %d integer registers without spilling",
+							c.name, ii, res.RegsFP, res.RegsInt)
+					}
+					if fp, integer := minRegs(st.latFP, ii)+paramsFP, minRegs(st.latInt, ii)+paramsInt; res.RegsFP < fp || res.RegsInt < integer {
+						t.Fatalf("%s: II %d needs %d FP and %d integer registers, below the bound's %d and %d",
+							c.name, ii, res.RegsFP, res.RegsInt, fp, integer)
+					}
+				}
+			}
+			if scheduled == 0 {
+				t.Fatal("no schedule at an II the register bound rules out; the sample does not exercise the bound")
+			}
+			t.Logf("%d IIs ruled out by the register bound, %d of them scheduled, every one spilling", ruledOut, scheduled)
 		})
 	}
 }

@@ -39,6 +39,10 @@ type state struct {
 	// issue slot. Slot s's set is words [s·w, (s+1)·w), w = ⌈n/64⌉.
 	unitOcc  [machine.NumUnitKinds][]uint64
 	issueOcc []uint64
+
+	// The register bound's inputs (spillFreeII): the largest data out-edge
+	// latency of each result-producing op, per register file.
+	latFP, latInt []int
 }
 
 var statePool = sync.Pool{New: func() any { return new(state) }}
@@ -86,8 +90,10 @@ func Schedule(g *analysis.Graph, mii int) (*Result, error) {
 	st := statePool.Get().(*state)
 	defer statePool.Put(st)
 	prioritize(g, st)
+	// Below mii+8 a spilling schedule is discarded like a failed attempt,
+	// so the search starts at the first II whose register bound fits.
 	jumped := false
-	for ii := mii; ii <= maxII; ii++ {
+	for ii := spillFreeII(g, st, mii, mii+8); ii <= maxII; ii++ {
 		cycles, ok := tryII(g, ii, st)
 		if !ok {
 			// A low estimate fails first on the recurrences: resume at
@@ -415,16 +421,7 @@ func finish(g *analysis.Graph, ii int, cycle []int) *Result {
 	res.RegsFP = demFP
 	res.RegsInt = demInt
 
-	availFP := m.FPRegs
-	availInt := m.IntRegs
-	if m.RotatingRegs > 0 {
-		if m.RotatingRegs < availFP {
-			availFP = m.RotatingRegs
-		}
-		if m.RotatingRegs < availInt {
-			availInt = m.RotatingRegs
-		}
-	}
+	availFP, availInt := registerFiles(m)
 	spills := 0
 	if demFP > availFP {
 		spills += demFP - availFP
@@ -434,6 +431,73 @@ func finish(g *analysis.Graph, ii int, cycle []int) *Result {
 	}
 	res.SpillCycles = spills * m.SpillCost
 	return res
+}
+
+// registerFiles returns the FP and integer registers a modulo schedule on m
+// may hold values in: each file, limited to the rotating registers where
+// the machine has them.
+func registerFiles(m *machine.Desc) (fp, integer int) {
+	fp, integer = m.FPRegs, m.IntRegs
+	if m.RotatingRegs > 0 {
+		fp = min(fp, m.RotatingRegs)
+		integer = min(integer, m.RotatingRegs)
+	}
+	return fp, integer
+}
+
+// spillFreeII returns the smallest II in [lo, hi) at which a lower bound on
+// finish's register demand fits both register files, or hi if there is
+// none. Below it every schedule tryII accepts spills: tryII accepts only
+// schedules that satisfy every edge, so a value lives at least its op's
+// largest data out-edge latency L, and finish charges it at least
+// max(1, ⌈L/II⌉) registers; each OpParam holds one more. The bound falls
+// as II rises.
+func spillFreeII(g *analysis.Graph, st *state, lo, hi int) int {
+	latFP, latInt := st.latFP[:0], st.latInt[:0]
+	for i, op := range g.Ops {
+		if !op.Code.HasResult() {
+			continue
+		}
+		lat := 0
+		for _, e := range g.Out[i] {
+			if e.Kind == analysis.EdgeData {
+				lat = max(lat, e.Lat)
+			}
+		}
+		if op.FP {
+			latFP = append(latFP, lat)
+		} else {
+			latInt = append(latInt, lat)
+		}
+	}
+	st.latFP, st.latInt = latFP, latInt
+	availFP, availInt := registerFiles(g.Mach)
+	for _, p := range g.Loop.Params {
+		if p.Code != ir.OpParam {
+			continue
+		}
+		if p.FP {
+			availFP--
+		} else {
+			availInt--
+		}
+	}
+	for ii := lo; ii < hi; ii++ {
+		if minRegs(latFP, ii) <= availFP && minRegs(latInt, ii) <= availInt {
+			return ii
+		}
+	}
+	return hi
+}
+
+// minRegs is the fewest registers that values living at least lats cycles
+// need at II ii under modulo variable expansion.
+func minRegs(lats []int, ii int) int {
+	n := 0
+	for _, lat := range lats {
+		n += max(1, (lat+ii-1)/ii)
+	}
+	return n
 }
 
 // Verify checks every dependence edge under the modulo constraint.

@@ -373,7 +373,8 @@ func (d *Dataset) Save(w io.Writer) error {
 }
 
 // LoadDataset reads a dataset saved by Save. Every example must carry one
-// measured cycle count per unroll factor.
+// positive measured cycle count per unroll factor, and its label must be
+// the factor those cycles make best.
 func LoadDataset(r io.Reader) (*Dataset, error) {
 	var in jsonDataset
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -381,9 +382,12 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 	}
 	d := &ml.Dataset{FeatureNames: in.FeatureNames}
 	for i, je := range in.Examples {
+		bad := func(format string, args ...any) error {
+			return fmt.Errorf("unroll: load dataset: example %d (%s/%s) "+format,
+				append([]any{i, je.Benchmark, je.Name}, args...)...)
+		}
 		if len(je.Cycles) != ml.NumClasses {
-			return nil, fmt.Errorf("unroll: load dataset: example %d (%s/%s) has %d cycle counts, want %d",
-				i, je.Benchmark, je.Name, len(je.Cycles), ml.NumClasses)
+			return nil, bad("has %d cycle counts, want %d", len(je.Cycles), ml.NumClasses)
 		}
 		e := ml.Example{
 			Name:      je.Name,
@@ -392,6 +396,14 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 			Label:     je.Label,
 		}
 		copy(e.Cycles[1:], je.Cycles)
+		for u, c := range je.Cycles {
+			if c <= 0 {
+				return nil, bad("has %d cycles at unroll factor %d, want a positive count", c, u+1)
+			}
+		}
+		if best := core.BestFactor(e.Cycles); e.Label != best {
+			return nil, bad("is labeled %d, but its cycles make %d the best factor", e.Label, best)
+		}
 		d.Examples = append(d.Examples, e)
 	}
 	if err := d.Validate(); err != nil {

@@ -251,32 +251,46 @@ func TestLoadDatasetRejectsGarbage(t *testing.T) {
 	if _, err := unroll.LoadDataset(bytes.NewBufferString("{not json")); err == nil {
 		t.Error("expected decode error")
 	}
+	// Factor 8 runs in the fewest cycles, so these rows are labeled 8.
 	const eight = `[9,8,7,6,5,4,3,2]`
 	for _, bad := range []string{
 		`{"examples":[{"label":99,"features":[1],"cycles":` + eight + `}]}`,
-		`{"examples":[{"label":1,"cycles":` + eight + `}]}`,
+		`{"examples":[{"label":8,"cycles":` + eight + `}]}`,
 	} {
 		if _, err := unroll.LoadDataset(bytes.NewBufferString(bad)); err == nil {
 			t.Errorf("expected validation error for %s", bad)
 		}
 	}
-	// Every example carries one cycle count per unroll factor: a short
-	// list would leave zero cycles behind, a long one would be cut.
-	for name, cycles := range map[string]string{
-		"missing": ``,
-		"empty":   `,"cycles":[]`,
-		"short":   `,"cycles":[9,8,7]`,
-		"long":    `,"cycles":[9,8,7,6,5,4,3,2,1,1,1]`,
+	// Every example carries one positive cycle count per unroll factor (a
+	// short list would leave zero cycles behind, a long one would be cut),
+	// and its label is the best factor of its cycles: the smallest factor
+	// among those with the fewest cycles.
+	for name, row := range map[string]string{
+		"missing":            `"label":1`,
+		"empty":              `"label":1,"cycles":[]`,
+		"short":              `"label":1,"cycles":[9,8,7]`,
+		"long":               `"label":1,"cycles":[9,8,7,6,5,4,3,2,1,1,1]`,
+		"zero":               `"label":1,"cycles":[0,0,0,0,0,0,0,0]`,
+		"negative":           `"label":8,"cycles":[9,8,7,6,5,4,3,-2]`,
+		"not best":           `"label":1,"cycles":` + eight,
+		"not the first best": `"label":8,"cycles":[9,8,7,2,5,4,3,2]`,
 	} {
 		src := `{"examples":[` +
-			`{"name":"a","benchmark":"b","label":1,"features":[1],"cycles":` + eight + `},` +
-			`{"name":"L007","benchmark":"swim","label":1,"features":[2]` + cycles + `}]}`
+			`{"name":"a","benchmark":"b","label":8,"features":[1],"cycles":` + eight + `},` +
+			`{"name":"L007","benchmark":"swim","features":[2],` + row + `}]}`
 		_, err := unroll.LoadDataset(bytes.NewBufferString(src))
 		if err == nil {
-			t.Errorf("%s cycles: loaded without error", name)
+			t.Errorf("%s: loaded without error", name)
 		} else if !strings.Contains(err.Error(), "swim/L007") {
-			t.Errorf("%s cycles: error %q does not name the example", name, err)
+			t.Errorf("%s: error %q does not name the example", name, err)
 		}
+	}
+	// The same two rows load once the second is labeled as its cycles say.
+	good := `{"examples":[` +
+		`{"name":"a","benchmark":"b","label":8,"features":[1],"cycles":` + eight + `},` +
+		`{"name":"L007","benchmark":"swim","features":[2],"label":4,"cycles":[9,8,7,2,5,4,3,2]}]}`
+	if _, err := unroll.LoadDataset(bytes.NewBufferString(good)); err != nil {
+		t.Errorf("a well-formed dataset: %v", err)
 	}
 }
 
